@@ -285,7 +285,12 @@ void BM_ParallelEngineRanks(benchmark::State& state) {
   for (auto _ : state) {
     mm::mpi::Environment::run(ranks, [&](mm::mpi::Comm& comm) {
       ParallelCorrelationEngine engine(comm, cfg, n);
+      if (!engine.leader()) {
+        engine.serve();
+        return;
+      }
       for (const auto& r : stream) benchmark::DoNotOptimize(engine.step(r));
+      engine.finish();
     });
   }
   state.SetItemsProcessed(state.iterations() * stream.size());

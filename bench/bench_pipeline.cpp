@@ -89,7 +89,7 @@ void BM_PipelineWorkers(benchmark::State& state) {
   state.counters["workers"] = static_cast<double>(workers);
 }
 BENCHMARK(BM_PipelineWorkers)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_PipelineCorrReplicas(benchmark::State& state) {
   // The parallel correlation engine group across rank counts (robust
@@ -115,6 +115,6 @@ void BM_PipelineCorrReplicas(benchmark::State& state) {
   state.counters["corr_ranks"] = static_cast<double>(replicas);
 }
 BENCHMARK(BM_PipelineCorrReplicas)->Arg(1)->Arg(2)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -9,10 +9,11 @@
 //     set. This is the deliberately naive Matlab-equivalent baseline.
 //
 //   * "Approach 3" (integrated path): compute_market_corr_series — one pass
-//     of the incremental market-wide calculator produces Pearson AND Maronna
-//     series for ALL pairs simultaneously; every strategy parameter set that
-//     shares (∆s, M) reuses them. This is the amortization that makes the
-//     brute-force parameter sweep feasible.
+//     of the correlation engine's stats::CorrelationCalculator (the same
+//     step the streaming pipeline's correlation stage runs) produces Pearson
+//     AND Maronna series for ALL pairs simultaneously; every strategy
+//     parameter set that shares (∆s, M) reuses them. This is the
+//     amortization that makes the brute-force parameter sweep feasible.
 //
 // run_pair_day() then drives the PairStrategy state machine over the series.
 #pragma once
@@ -73,9 +74,8 @@ MarketCorrSeries compute_market_corr_series(
 
 // Shard variant: series only for `pairs` (any subset, output in that order).
 // The incremental window state is market-wide either way; only the per-pair
-// estimation loop is restricted — this is the unit the parallel ranks own.
-// Warm-start state is per pair, so shard outputs are independent of the
-// sharding.
+// estimation is restricted (CorrelationCalculator::estimate). Warm-start
+// state is per pair, so shard outputs are independent of the sharding.
 MarketCorrSeries compute_market_corr_series(
     const std::vector<std::vector<double>>& bam, std::int64_t corr_window,
     bool need_maronna, const stats::MaronnaConfig& maronna_config,

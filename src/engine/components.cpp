@@ -15,7 +15,7 @@
 #include "marketdata/bars.hpp"
 #include "marketdata/tickdb.hpp"
 #include "stats/cluster.hpp"
-#include "stats/windows.hpp"
+#include "stats/corr_engine.hpp"
 
 namespace mm::engine {
 namespace {
@@ -192,16 +192,29 @@ dag::NodeFn make_snapshot_stage(std::size_t symbols, md::Session session,
   };
 }
 
-dag::NodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_window,
-                                   bool need_maronna,
-                                   stats::MaronnaConfig maronna_config, int fan_out,
-                                   StageStats* stats, stats::CorrStore* store,
-                                   stats::CorrKey store_key,
-                                   std::int64_t expected_frames) {
+dag::GroupNodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_window,
+                                        bool need_maronna,
+                                        stats::MaronnaConfig maronna_config, int fan_out,
+                                        StageStats* stats,
+                                        std::chrono::milliseconds replica_deadline,
+                                        stats::CorrStore* store, stats::CorrKey store_key,
+                                        std::int64_t expected_frames) {
   MM_ASSERT(fan_out >= 1);
   return [symbols, corr_window, need_maronna, maronna_config, fan_out, stats,
-          store, store_key = std::move(store_key),
-          expected_frames](dag::Context& ctx) {
+          replica_deadline, store, store_key = std::move(store_key),
+          expected_frames](dag::Context* ctx, mpi::Comm& group) {
+    stats::CorrEngineConfig config;
+    config.type = need_maronna ? stats::Ctype::maronna : stats::Ctype::pearson;
+    config.window = static_cast<std::size_t>(corr_window);
+    config.maronna = maronna_config;
+    stats::ParallelCorrelationEngine engine(
+        group, config, symbols, ctx != nullptr ? ctx->metrics() : nullptr,
+        replica_deadline);
+    if (!engine.leader()) {
+      engine.serve();
+      return;
+    }
+
     // The lease is taken when the NODE runs (not at wiring time): concurrent
     // pipelines over the same key serialize here — one computes, the rest
     // block until the day is published, then replay.
@@ -214,60 +227,51 @@ dag::NodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_window
       // emit, so every consumer downstream is bit-identical.
       const auto day = lease->data();  // keep alive across eviction
       std::size_t next = 0;
-      while (auto msg = ctx.recv()) {
+      while (auto msg = ctx->recv()) {
         MM_ASSERT(peek_type(msg->bytes) == RecordType::snapshot);
         bump(stats, 1, 0, 1, 0);
         MM_ASSERT_MSG(next < day->frames.size(),
                       "memoized day shorter than the snapshot stream");
         const auto& packed = day->frames[next++];
-        for (int port = 0; port < fan_out; ++port) ctx.emit(port, packed);
+        for (int port = 0; port < fan_out; ++port) ctx->emit(port, packed);
         bump(stats, 0, static_cast<std::uint64_t>(fan_out), 0, 1);
       }
+      engine.finish();
       return;
     }
 
-    const auto pairs = stats::all_pairs(symbols);
-    obs::Histogram* step_ns = step_histogram(ctx, "engine.correlation.step_ns");
-    stats::ReturnWindows windows(symbols, static_cast<std::size_t>(corr_window),
-                                 /*track_cross_sums=*/true);
-    std::vector<double> wx(static_cast<std::size_t>(corr_window));
-    std::vector<double> wy(static_cast<std::size_t>(corr_window));
+    obs::Histogram* step_ns = step_histogram(*ctx, "engine.correlation.step_ns");
     stats::CorrDay recorded;
     if (lease && expected_frames > 0)
       recorded.frames.reserve(static_cast<std::size_t>(expected_frames));
 
-    while (auto msg = ctx.recv()) {
+    while (auto msg = ctx->recv()) {
       mpi::Unpacker u(msg->bytes);
       MM_ASSERT(static_cast<RecordType>(u.get<std::uint8_t>()) == RecordType::snapshot);
       auto snap = Snapshot::unpack(u);
       bump(stats, 1, 0, 1, 0);
 
-      obs::ObsSpan step(ctx.ring(), "corr-step", step_ns);
-      if (!snap.returns.empty()) windows.push(snap.returns);
-
+      obs::ObsSpan step(ctx->ring(), "corr-step", step_ns);
       CorrFrame frame;
       frame.interval = snap.interval;
       frame.prices = std::move(snap.prices);
-      frame.valid = windows.ready() && snap.interval >= corr_window;
-      if (frame.valid) {
-        frame.pearson.resize(pairs.size());
-        if (need_maronna) frame.maronna.resize(pairs.size());
-        for (std::size_t k = 0; k < pairs.size(); ++k) {
-          frame.pearson[k] = windows.pearson(pairs[k].i, pairs[k].j);
-          if (need_maronna) {
-            windows.copy_window(pairs[k].i, wx.data());
-            windows.copy_window(pairs[k].j, wy.data());
-            frame.maronna[k] =
-                stats::maronna(wx.data(), wy.data(), wx.size(), maronna_config);
-          }
+      // The opening snapshot carries no returns: nothing to push.
+      if (!snap.returns.empty()) {
+        const auto& vectors = engine.step(snap.returns);
+        frame.valid = engine.ready() && snap.interval >= corr_window;
+        if (frame.valid) {
+          frame.pearson = vectors.pearson;
+          frame.maronna = vectors.maronna;
         }
       }
       step.close();
       const auto packed = frame.pack();
-      for (int port = 0; port < fan_out; ++port) ctx.emit(port, packed);
+      for (int port = 0; port < fan_out; ++port) ctx->emit(port, packed);
       if (lease) recorded.frames.push_back(packed);
       bump(stats, 0, static_cast<std::uint64_t>(fan_out), 0, 1);
     }
+    engine.finish();
+    if (stats != nullptr) stats->faults += engine.reshards();
 
     // Publish only a complete day: a run cut short by a fault upstream
     // produced fewer frames, and the lease destructor abandons it (handing
@@ -308,195 +312,6 @@ dag::NodeFn make_cluster_stage(std::size_t symbols, int target_clusters,
   };
 }
 
-dag::GroupNodeFn make_parallel_correlation_stage(std::size_t symbols,
-                                                 std::int64_t corr_window,
-                                                 bool need_maronna,
-                                                 stats::MaronnaConfig maronna_config,
-                                                 int fan_out, StageStats* stats,
-                                                 std::chrono::milliseconds replica_deadline) {
-  MM_ASSERT(fan_out >= 1);
-  return [symbols, corr_window, need_maronna, maronna_config, fan_out, stats,
-          replica_deadline](dag::Context* ctx, mpi::Comm& group) {
-    const auto all = stats::all_pairs(symbols);
-    const bool bounded = replica_deadline.count() > 0;
-
-    stats::ReturnWindows windows(symbols, static_cast<std::size_t>(corr_window),
-                                 /*track_cross_sums=*/true);
-    std::vector<double> wx(static_cast<std::size_t>(corr_window));
-    std::vector<double> wy(static_cast<std::size_t>(corr_window));
-
-    const auto estimate = [&](const stats::PairIndex& p, mpi::Packer& out) {
-      out.put<double>(windows.pearson(p.i, p.j));
-      if (need_maronna) {
-        windows.copy_window(p.i, wx.data());
-        windows.copy_window(p.j, wy.data());
-        out.put<double>(
-            stats::maronna(wx.data(), wy.data(), wx.size(), maronna_config));
-      }
-    };
-
-    // Group protocol, one round per snapshot. The leader sends each live
-    // replica {round_step, round_no, alive, interval, returns}; replicas
-    // answer {round_no, shard doubles}. Pair k is owned by
-    // alive[k % alive.size()] — the rotation reshards automatically when a
-    // replica drops out. round_no makes duplicated frames (fault injection)
-    // detectable on both sides. round_done terminates a replica.
-    constexpr int tag_round = 1;
-    constexpr int tag_shard = 2;
-    constexpr std::uint8_t round_step = 1;
-    constexpr std::uint8_t round_done = 0;
-
-    if (group.rank() != 0) {
-      // Replica: serve rounds until the leader says done or goes silent past
-      // the deadline (leader dead, or this replica resharded away).
-      std::uint64_t next_round = 0;
-      while (true) {
-        std::vector<std::uint8_t> bytes;
-        if (bounded) {
-          auto r = group.recv_for(replica_deadline, 0, tag_round);
-          if (!r) return;
-          bytes = std::move(*r);
-        } else {
-          bytes = group.recv(0, tag_round);
-        }
-        mpi::Unpacker u(bytes);
-        const auto kind = u.get<std::uint8_t>();
-        const auto round_no = u.get<std::uint64_t>();
-        if (kind == round_done) return;
-        if (round_no < next_round) continue;  // duplicated round frame
-        next_round = round_no + 1;
-        const auto alive = u.get_vector<std::int32_t>();
-        const auto interval = u.get<std::int64_t>();
-        const auto returns = u.get_vector<double>();
-        if (!returns.empty()) windows.push(returns);
-        const bool valid = windows.ready() && interval >= corr_window;
-
-        mpi::Packer shard;
-        shard.put<std::uint64_t>(round_no);
-        if (valid) {
-          for (std::size_t k = 0; k < all.size(); ++k)
-            if (alive[k % alive.size()] == group.rank()) estimate(all[k], shard);
-        }
-        group.send(0, tag_shard, shard.take());
-      }
-      return;
-    }
-
-    // Leader.
-    obs::Histogram* step_ns = step_histogram(*ctx, "engine.correlation.step_ns");
-    std::vector<std::int32_t> alive;
-    for (int r = 0; r < group.size(); ++r) alive.push_back(r);
-    std::uint64_t round_no = 0;
-
-    while (auto msg = ctx->recv()) {
-      mpi::Unpacker u(msg->bytes);
-      MM_ASSERT(static_cast<RecordType>(u.get<std::uint8_t>()) ==
-                RecordType::snapshot);
-      auto snap = Snapshot::unpack(u);
-      bump(stats, 1, 0, 1, 0);
-      obs::ObsSpan step(ctx->ring(), "corr-round", step_ns);
-
-      // The assignment every party uses this round (alive may shrink below).
-      const std::vector<std::int32_t> round_alive = alive;
-
-      mpi::Packer round;
-      round.put<std::uint8_t>(round_step);
-      round.put<std::uint64_t>(round_no);
-      round.put_vector(round_alive);
-      round.put<std::int64_t>(snap.interval);
-      round.put_vector(snap.returns);
-      const auto round_bytes = round.take();
-      for (const auto m : round_alive)
-        if (m != 0) group.send(m, tag_round, round_bytes);
-
-      if (!snap.returns.empty()) windows.push(snap.returns);
-      const bool valid = windows.ready() && snap.interval >= corr_window;
-
-      // Bounded gather: a replica that misses the deadline is resharded away
-      // for good (a missed round also desyncs its window mirror, so it must
-      // never contribute again) and its pairs are recomputed locally below.
-      std::vector<std::vector<std::uint8_t>> shard_of(
-          static_cast<std::size_t>(group.size()));
-      std::vector<bool> have(static_cast<std::size_t>(group.size()), false);
-      for (const auto m : round_alive) {
-        if (m == 0) continue;
-        const auto deadline = std::chrono::steady_clock::now() + replica_deadline;
-        while (true) {
-          std::vector<std::uint8_t> bytes;
-          if (bounded) {
-            const auto budget = std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - std::chrono::steady_clock::now());
-            auto r = group.recv_for(std::max(budget, std::chrono::milliseconds{1}),
-                                    m, tag_shard);
-            if (!r) {
-              alive.erase(std::remove(alive.begin(), alive.end(), m), alive.end());
-              if (stats) stats->faults.fetch_add(1, std::memory_order_relaxed);
-              break;
-            }
-            bytes = std::move(*r);
-          } else {
-            bytes = group.recv(m, tag_shard);
-          }
-          mpi::Unpacker su(bytes);
-          if (su.get<std::uint64_t>() != round_no) continue;  // stale duplicate
-          shard_of[static_cast<std::size_t>(m)] = std::move(bytes);
-          have[static_cast<std::size_t>(m)] = true;
-          break;
-        }
-      }
-
-      // Assemble the canonical-order frame: the leader computes its own
-      // shard and stands in for any replica that missed the deadline; it
-      // mirrors every window, so the frame matches the healthy run exactly.
-      CorrFrame frame;
-      frame.interval = snap.interval;
-      frame.prices = std::move(snap.prices);
-      frame.valid = valid;
-      if (valid) {
-        frame.pearson.resize(all.size());
-        if (need_maronna) frame.maronna.resize(all.size());
-        std::vector<std::optional<mpi::Unpacker>> unpackers(
-            static_cast<std::size_t>(group.size()));
-        for (const auto m : round_alive) {
-          if (m == 0 || !have[static_cast<std::size_t>(m)]) continue;
-          unpackers[static_cast<std::size_t>(m)].emplace(
-              shard_of[static_cast<std::size_t>(m)]);
-          unpackers[static_cast<std::size_t>(m)]->get<std::uint64_t>();
-        }
-        for (std::size_t k = 0; k < all.size(); ++k) {
-          const auto owner = round_alive[k % round_alive.size()];
-          if (owner != 0 && have[static_cast<std::size_t>(owner)]) {
-            auto& up = *unpackers[static_cast<std::size_t>(owner)];
-            frame.pearson[k] = up.get<double>();
-            if (need_maronna) frame.maronna[k] = up.get<double>();
-          } else {
-            frame.pearson[k] = windows.pearson(all[k].i, all[k].j);
-            if (need_maronna) {
-              windows.copy_window(all[k].i, wx.data());
-              windows.copy_window(all[k].j, wy.data());
-              frame.maronna[k] =
-                  stats::maronna(wx.data(), wy.data(), wx.size(), maronna_config);
-            }
-          }
-        }
-      }
-      step.close();
-      const auto packed = frame.pack();
-      for (int port = 0; port < fan_out; ++port) ctx->emit(port, packed);
-      bump(stats, 0, static_cast<std::uint64_t>(fan_out), 0, 1);
-      ++round_no;
-    }
-
-    // End of stream: release the surviving replicas.
-    mpi::Packer done;
-    done.put<std::uint8_t>(round_done);
-    done.put<std::uint64_t>(round_no);
-    const auto done_bytes = done.take();
-    for (const auto m : alive)
-      if (m != 0) group.send(m, tag_round, done_bytes);
-  };
-}
-
 dag::NodeFn make_strategy_stage(core::StrategyParams params,
                                 std::vector<stats::PairIndex> pairs,
                                 std::int32_t strategy_id, std::int64_t smax,
@@ -508,8 +323,8 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
     machines.reserve(pairs.size());
     for (std::size_t k = 0; k < pairs.size(); ++k) machines.emplace_back(params, smax);
 
-    // Map each of my pairs to its index in the canonical all-pairs order the
-    // CorrFrame vectors use.
+    // Each of my pairs' slot in the canonical all-pairs order the CorrFrame
+    // vectors use; the universe size arrives with the first frame.
     std::vector<std::size_t> frame_index(pairs.size());
 
     const auto emit_order = [&](std::int64_t s, const stats::PairIndex& pr, double di,
@@ -543,13 +358,9 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
 
       if (!indexed) {
         const std::size_t n = frame.prices.size();
-        const auto canonical = stats::all_pairs(n);
         for (std::size_t k = 0; k < pairs.size(); ++k) {
-          std::size_t found = canonical.size();
-          for (std::size_t c = 0; c < canonical.size(); ++c)
-            if (canonical[c].i == pairs[k].i && canonical[c].j == pairs[k].j) found = c;
-          MM_ASSERT_MSG(found < canonical.size(), "pair not in universe");
-          frame_index[k] = found;
+          MM_ASSERT_MSG(pairs[k].i < pairs[k].j && pairs[k].j < n, "pair not in universe");
+          frame_index[k] = stats::pair_slot(n, pairs[k].i, pairs[k].j);
         }
         indexed = true;
       }

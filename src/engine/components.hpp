@@ -9,9 +9,10 @@
 //   snapshot    — OHLC-bar / technical-analysis stage: turns the quote stream
 //                 into one end-of-interval Snapshot (BAM prices + log
 //                 returns) per ∆s;
-//   correlation — the (single-rank) correlation engine: incremental Pearson
-//                 plus optional per-pair Maronna over the sliding M-window,
-//                 fanned out to every strategy node;
+//   correlation — the correlation engine (stats::ParallelCorrelationEngine
+//                 on one or more ranks): all-pairs Pearson plus optional
+//                 per-pair Maronna over the sliding M-window, fanned out to
+//                 every strategy node;
 //   strategy    — one parameter set across a set of pairs, emitting Order
 //                 records and an end-of-day StrategySummary;
 //   master      — order aggregation (netting into baskets), risk accounting,
@@ -143,38 +144,27 @@ dag::NodeFn make_snapshot_stage(std::size_t symbols, md::Session session,
                                 StageStats* stats = nullptr);
 
 // --- correlation engine ----------------------------------------------------
-// Emits one CorrFrame per Snapshot on every output port [0, fan_out).
+// Fig. 1's "Parallel Correlation Engine" as a dagflow group node: a thin
+// adapter over stats::ParallelCorrelationEngine. The leader receives
+// snapshots, steps the engine and emits one CorrFrame per Snapshot on every
+// output port [0, fan_out); the other members serve the engine's rounds.
+// A group of one sends no messages. With replica_deadline > 0 a replica that
+// misses its deadline is resharded away and the frames stay bit-identical to
+// the healthy run; each resharding event bumps StageStats::faults (see the
+// engine for the protocol). With replica_deadline == 0 every wait blocks.
 //
-// With a CorrStore attached the stage memoizes whole days of packed frames
+// With a CorrStore attached the leader memoizes whole days of packed frames
 // under `store_key`: a hit replays the stored buffers verbatim (bit-identical
 // output, no estimation work); a miss computes normally while recording, and
 // publishes only a COMPLETE day (`expected_frames` received) so a
-// fault-aborted run never poisons the cache. The store path requires the
-// single-rank stage (correlation_replicas == 1).
-dag::NodeFn make_correlation_stage(std::size_t symbols, std::int64_t corr_window,
-                                   bool need_maronna,
-                                   stats::MaronnaConfig maronna_config, int fan_out,
-                                   StageStats* stats = nullptr,
-                                   stats::CorrStore* store = nullptr,
-                                   stats::CorrKey store_key = {},
-                                   std::int64_t expected_frames = 0);
-
-// Multi-rank variant: Fig. 1's "Parallel Correlation Engine" as a dagflow
-// group node. The leader receives snapshots and sends the return vector to
-// every live replica; every member mirrors the sliding windows and estimates
-// its shard of the n(n-1)/2 pairs; shards come back to the leader, which
-// emits frames identical to the single-rank stage.
-//
-// With replica_deadline > 0 the gather is bounded: a replica that misses the
-// deadline is removed from the shard rotation (pairs reshard onto the
-// survivors from the next round on) and its shard for the current round is
-// recomputed by the leader, which mirrors every window — so the emitted
-// frames stay bit-identical to the healthy run. Each resharding event bumps
-// StageStats::faults. With replica_deadline == 0 every wait blocks forever.
-dag::GroupNodeFn make_parallel_correlation_stage(
+// fault-aborted run never poisons the cache. run_pipeline uses the store
+// only with a one-rank engine (correlation_replicas == 1).
+dag::GroupNodeFn make_correlation_stage(
     std::size_t symbols, std::int64_t corr_window, bool need_maronna,
     stats::MaronnaConfig maronna_config, int fan_out, StageStats* stats = nullptr,
-    std::chrono::milliseconds replica_deadline = std::chrono::milliseconds{0});
+    std::chrono::milliseconds replica_deadline = std::chrono::milliseconds{0},
+    stats::CorrStore* store = nullptr, stats::CorrKey store_key = {},
+    std::int64_t expected_frames = 0);
 
 // --- clustering --------------------------------------------------------------
 // The [12] companion workload: consume CorrFrames and, every

@@ -29,7 +29,7 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
   const auto quotes_in = static_cast<std::uint64_t>(
       config.day != nullptr ? config.day->size() : quotes.size());
   MM_ASSERT_MSG(config.corr_store == nullptr || config.correlation_replicas == 1,
-                "correlation memoization requires the single-rank stage");
+                "correlation memoization requires a one-rank engine");
   const int k = static_cast<int>(config.strategies.size());
   const bool clustering = config.cluster_every > 0;
   // Correlation fan-out: one port per strategy, plus the clustering branch.
@@ -43,7 +43,6 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
   MasterReport master;
 
   dag::Graph graph;
-  int node = 0;
   const int collector =
       config.day != nullptr
           ? graph.add_node("collector",
@@ -63,19 +62,13 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
   const int snapshot = graph.add_node(
       "snapshot", make_snapshot_stage(config.symbols, session, base.delta_s,
                                       universe.base_price, stats[2].get()));
-  const int corr =
-      config.correlation_replicas > 1
-          ? graph.add_group_node(
-                "correlation",
-                make_parallel_correlation_stage(
-                    config.symbols, base.corr_window, need_maronna, config.maronna,
-                    corr_fan_out, stats[3].get(), config.replica_deadline),
-                config.correlation_replicas)
-          : graph.add_node(
-                "correlation",
-                make_correlation_stage(config.symbols, base.corr_window, need_maronna,
-                                       config.maronna, corr_fan_out, stats[3].get(),
-                                       config.corr_store, config.corr_key, smax));
+  const int corr = graph.add_group_node(
+      "correlation",
+      make_correlation_stage(config.symbols, base.corr_window, need_maronna,
+                             config.maronna, corr_fan_out, stats[3].get(),
+                             config.replica_deadline, config.corr_store,
+                             config.corr_key, smax),
+      config.correlation_replicas);
 
   // Optional clustering branch: corr port k -> cluster stage -> snapshot sink.
   std::vector<ClusterSnapshot> cluster_log;
@@ -103,7 +96,6 @@ PipelineResult run_pipeline(const PipelineConfig& config, const md::Universe& un
   }
   const int master_node = graph.add_node(
       "master", make_master(&master, config.risk, stats[n_stages - 1].get()));
-  (void)node;
 
   graph.connect(collector, 0, cleaner, 0, config.channel_capacity);
   graph.connect(cleaner, 0, snapshot, 0, config.channel_capacity);

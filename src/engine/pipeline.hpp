@@ -37,7 +37,7 @@ struct PipelineConfig {
   std::size_t batch_size = 256;
   int channel_capacity = 64;
   RiskConfig risk{};
-  // Ranks backing the correlation engine (>1 uses the parallel group stage).
+  // Ranks backing the correlation engine (its pairs shard across them).
   int correlation_replicas = 1;
   // >0 adds the clustering branch ([12]): a snapshot of the market's
   // co-movement groups every `cluster_every` intervals.
@@ -69,7 +69,7 @@ struct PipelineConfig {
   // single-stage failure.
   std::chrono::milliseconds stage_deadline{0};
   // Deadline for one correlation replica's shard; a replica that misses it
-  // is resharded onto the survivors (see make_parallel_correlation_stage).
+  // is resharded onto the survivors (see stats::ParallelCorrelationEngine).
   std::chrono::milliseconds replica_deadline{0};
 
   // --- telemetry -----------------------------------------------------------

@@ -43,6 +43,8 @@ class Packer {
   }
 
   std::vector<std::uint8_t> take() { return std::move(buffer_); }
+  // Empty the buffer but keep its capacity, for a Packer reused per message.
+  void clear() { buffer_.clear(); }
   const std::vector<std::uint8_t>& bytes() const { return buffer_; }
   std::size_t size() const { return buffer_.size(); }
 
@@ -75,14 +77,22 @@ class Unpacker {
 
   template <typename T>
   std::vector<T> get_vector() {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "Unpacker::get_vector requires trivially copyable elements");
-    const auto n = get<std::uint64_t>();
-    MM_ASSERT_MSG(offset_ + n * sizeof(T) <= buffer_.size(), "Unpacker: vector underrun");
-    std::vector<T> v(n);
-    std::memcpy(v.data(), buffer_.data() + offset_, n * sizeof(T));
-    offset_ += n * sizeof(T);
+    std::vector<T> v;
+    get_vector_into(v);
     return v;
+  }
+
+  // get_vector into the caller's storage: no allocation once `out` has the
+  // capacity.
+  template <typename T>
+  void get_vector_into(std::vector<T>& out) {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "Unpacker::get_vector_into requires trivially copyable elements");
+    const auto n = get<std::uint64_t>();
+    MM_ASSERT_MSG(n <= remaining() / sizeof(T), "Unpacker: vector underrun");
+    out.resize(n);
+    if (n > 0) std::memcpy(out.data(), buffer_.data() + offset_, n * sizeof(T));
+    offset_ += n * sizeof(T);
   }
 
   bool exhausted() const { return offset_ == buffer_.size(); }

@@ -1,20 +1,27 @@
-// Market-wide correlation engines: serial and parallel.
+// The market-wide correlation engine: the one home of the per-pair loop.
 //
-// This is the enabling component of the paper (§II): producing the full
-// n × n correlation matrix over a sliding M-return window, every ∆s interval,
-// in an online fashion. Pearson entries come from ReturnWindows' O(1)
-// incremental sums (full matrices via the blocked pearson_matrix kernel);
+// This is the enabling component of the paper (§II): producing every pair's
+// correlation over a sliding M-return window, every ∆s interval, in an online
+// fashion. Pearson entries come from ReturnWindows' O(1) incremental sums
+// (all pairs at once via the blocked pearson_pairs / pearson_matrix kernels);
 // Maronna entries re-estimate each pair's 2×2 robust scatter over the window
-// (the expensive part the paper parallelizes [14]), warm-started from the
-// previous step's converged estimate when `warm_start` is enabled.
+// (the expensive part the paper parallelizes [14]) from one shared per-step
+// unwrap arena, warm-started from the previous step's converged estimate when
+// `warm_start` is enabled.
 //
-// ParallelCorrelationEngine shards the n(n-1)/2 pairs across the ranks of an
-// mpmini communicator — the "Parallel Correlation Engine" box of Fig. 1.
+// CorrelationCalculator is the single-rank kernel; ParallelCorrelationEngine
+// shards it across the ranks of an mpmini communicator — the "Parallel
+// Correlation Engine" box of Fig. 1. The streaming pipeline's correlation
+// stage (engine/components.hpp) and the offline series
+// (core::compute_market_corr_series) both run on these two classes.
 #pragma once
 
+#include <chrono>
+#include <cstdint>
 #include <vector>
 
 #include "mpmini/comm.hpp"
+#include "mpmini/serde.hpp"
 #include "obs/registry.hpp"
 #include "stats/correlation.hpp"
 #include "stats/sym_matrix.hpp"
@@ -26,25 +33,27 @@ struct CorrEngineConfig {
   Ctype type = Ctype::pearson;
   std::size_t window = 100;  // the paper's M
   MaronnaConfig maronna{};
-  // Repair the assembled matrix to PSD (meaningful for Maronna/Combined;
+  // Repair matrix_into's result to PSD (meaningful for Maronna/Combined;
   // costs an O(n³) eigendecomposition per step).
   bool repair_psd = false;
   // Warm-start Maronna from the previous step's converged estimate (see
-  // WarmMaronna). Results agree with the batch estimator to within the
-  // convergence tolerance instead of bit-for-bit, so this is opt-in.
+  // WarmMaronna, cold restart every kWarmRestartInterval steps). Results
+  // agree with the batch estimator to within the convergence tolerance
+  // instead of bit-for-bit, so this is opt-in.
   bool warm_start = false;
-  // Cold-restart cadence for the warm-started path.
-  int warm_restart_interval = kWarmRestartInterval;
-  // Pair-iteration tile edge (symbols per block) for the O(n²) pair space:
-  // pairs are walked in tile-major order (see tiled_pairs), so a contiguous
-  // span of work touches at most ~2·tile distinct window rows and a rank's
-  // shard stays cache-resident at thousands of symbols. 0 degrades to the
-  // row-major canonical order.
-  std::size_t pair_tile = 64;
+};
+
+// One step's correlations in canonical all_pairs order — the CorrFrame and
+// MarketCorrSeries layout. `pearson` is always filled; `maronna` holds the
+// raw Maronna estimate when the configured type needs it and is empty
+// otherwise (Combined is derived from the two when read).
+struct CorrVectors {
+  std::vector<double> pearson;
+  std::vector<double> maronna;
 };
 
 // Single-threaded engine: push one return per symbol per interval, then read
-// correlations or the full matrix.
+// one pair, the canonical vectors, or the full matrix.
 class CorrelationCalculator {
  public:
   CorrelationCalculator(const CorrEngineConfig& config, std::size_t symbols);
@@ -53,14 +62,29 @@ class CorrelationCalculator {
   bool ready() const { return windows_.ready(); }
   std::size_t symbols() const { return windows_.symbols(); }
   const CorrEngineConfig& config() const { return config_; }
+  // True when the configured type needs the raw Maronna estimate.
+  bool needs_maronna() const { return config_.type != Ctype::pearson; }
+  // Every pair once, in tile-major order (see tiled_pairs): a contiguous
+  // span touches few window rows, so a shard stays cache-resident at
+  // thousands of symbols.
+  const std::vector<PairIndex>& tiled() const { return pairs_; }
 
-  // Correlation of one pair at the current step (requires ready()).
+  // Correlation of one pair under the configured type (requires ready()).
   double pair(std::size_t i, std::size_t j) const;
 
-  // Full matrix at the current step, unit diagonal. matrix_into reuses the
-  // caller's storage (resizing only when the symbol count changed), so a
-  // steady-state loop is allocation-free; matrix() is the allocating
-  // convenience form.
+  // Raw estimates for pairs[0..count) at the current step: pearson[k]
+  // always, maronna[k] when needs_maronna() (maronna may be null otherwise).
+  void estimate(const PairIndex* pairs, std::size_t count, double* pearson,
+                double* maronna) const;
+
+  // Canonical vectors for every pair at the current step (requires ready()).
+  // Reuses out's storage, so a steady-state loop is allocation-free.
+  void vectors_into(CorrVectors& out) const;
+
+  // Full matrix at the current step under the configured type, unit
+  // diagonal. matrix_into reuses the caller's storage (resizing only when
+  // the symbol count changed), so a steady-state loop is allocation-free;
+  // matrix() is the allocating convenience form.
   void matrix_into(SymMatrix& out) const;
   SymMatrix matrix() const;
 
@@ -71,11 +95,13 @@ class CorrelationCalculator {
   const double* window_view(std::size_t symbol) const {
     return unwrap_.data() + symbol * config_.window;
   }
+  double maronna_pair(std::size_t i, std::size_t j) const;
 
   CorrEngineConfig config_;
   ReturnWindows windows_;
-  // Step-scoped caches: pair() is logically const — these only memoize work
-  // derived from the current window state.
+  std::vector<PairIndex> pairs_;  // tile-major order, built once
+  // Step-scoped caches: the estimators are logically const — these only
+  // memoize work derived from the current window state.
   mutable std::vector<double> unwrap_;  // [symbol * window], oldest -> newest
   mutable std::size_t unwrap_step_ = 0;  // windows_.steps() the arena reflects
   mutable std::vector<unsigned char> mad_zero_;  // per-symbol, warm path only
@@ -83,66 +109,90 @@ class CorrelationCalculator {
   mutable MaronnaScratch maronna_scratch_;  // cold-path median/MAD buffers
 };
 
-// Pair-sharded parallel engine. All ranks of `comm` construct it with the
-// same arguments, then call step() collectively once per interval; rank 0
-// passes the market-wide return vector (other ranks' argument is ignored)
-// and every rank receives the assembled matrix (empty until windows fill).
+// Pair-sharded parallel engine over the ranks of `comm`. Every rank
+// constructs it with the same arguments. Rank 0, the leader, calls step()
+// once per interval with the market-wide return vector and finish() at the
+// end of the day; every other rank, a replica, calls serve(), which returns
+// after the leader's finish() (or, with a replica deadline, once the leader
+// has been silent that long). A one-rank engine sends no messages.
 //
-// Shards are static, contiguous blocks of the tile-major pair order (see
-// tiled_pairs / CorrEngineConfig::pair_tile), balanced to within one pair:
-// rank r owns pairs [offsets[r], offsets[r+1]). Block sharding over the
-// tiled order keeps each rank's warm-start state and window rows
-// cache-resident at thousands of symbols and makes shard assembly a linear
-// copy instead of a round-robin scatter.
+// Each step is one round. The leader sends every live replica the round
+// number, the live-member list and the returns; every member mirrors the
+// sliding windows and estimates one contiguous block of the tile-major pair
+// order (blocks balanced to within one pair over the live members), and the
+// replicas send their block back. Round numbers make duplicated frames
+// harmless on both sides. With replica_deadline > 0 the gather is bounded:
+// a replica that misses the deadline is removed for good (a missed round
+// also desyncs its window mirror), the leader computes that replica's block
+// itself — it mirrors every window — and the pairs reshard over the
+// survivors from the next round on. Per-pair Pearson and cold Maronna depend
+// only on the window contents, so the leader's vectors are bit-identical to a
+// serial CorrelationCalculator under any rank count and any resharding. Warm
+// Maronna keeps each pair's seed on the rank that estimates it, so it too is
+// bit-identical while the blocks hold; after a reshard the moved pairs agree
+// only to the convergence tolerance. With replica_deadline == 0 every wait
+// blocks.
 //
-// The step is built around persistent buffers: the assembled matrix, the
-// mirrored return vector and every transport staging buffer are members
-// reused across steps, and step() returns a reference to the member matrix.
-// A single-rank engine touches no transport at all and is allocation-free in
-// steady state (asserted by tests/test_corr_alloc.cpp); multi-rank steps
-// allocate only the transport's bounded per-message envelopes. Exchange runs
-// over a private duplicate of `comm`: non-roots send their shard to rank 0,
-// which assembles (and PSD-repairs, if configured) once and broadcasts the
-// packed triangle.
+// The engine's traffic uses two point-to-point tags on `comm`; give it a
+// communicator that nothing else receives wildcard tags on.
 //
-// Per-step kernel timings land in mm::obs nanosecond histograms on the given
-// registry (corr.step.broadcast_ns / compute_ns / exchange_ns / assemble_ns),
-// one sample per rank per step — read them with Registry::snapshot(). With a
-// null registry the process-wide obs::Registry::global() is used. The serial
-// fast path records compute_ns only.
+// Per-step phase timings land in mm::obs nanosecond histograms on
+// `registry` (corr.step.broadcast_ns / compute_ns / exchange_ns), one sample
+// per rank per step — read them with Registry::snapshot(). A null registry
+// records nothing. The one-rank path records compute_ns only.
 class ParallelCorrelationEngine {
  public:
-  ParallelCorrelationEngine(mpi::Comm& comm, const CorrEngineConfig& config,
-                            std::size_t symbols, obs::Registry* registry = nullptr);
+  ParallelCorrelationEngine(
+      mpi::Comm& comm, const CorrEngineConfig& config, std::size_t symbols,
+      obs::Registry* registry = nullptr,
+      std::chrono::milliseconds replica_deadline = std::chrono::milliseconds{0});
 
-  // Collective. Returns the matrix once windows are full, else an empty one.
-  // The reference stays valid until the next step() on this engine.
-  const SymMatrix& step(const std::vector<double>& returns);
+  bool leader() const { return comm_.rank() == 0; }
+
+  // Leader only. Pushes `returns` and returns the step's vectors once the
+  // windows are full, else empty vectors. The reference stays valid until
+  // the next step() on this engine.
+  const CorrVectors& step(const std::vector<double>& returns);
+  // Leader only: release the surviving replicas. Idempotent.
+  void finish();
+  // Replicas only: serve rounds until released (see class comment).
+  void serve();
 
   bool ready() const { return calc_.ready(); }
-  std::size_t local_pair_count() const {
-    const auto r = static_cast<std::size_t>(comm_.rank());
-    return offsets_[r + 1] - offsets_[r];
-  }
+  // Pairs this rank owns while every rank is live.
+  std::size_t local_pair_count() const;
+  // Leader: replicas removed for missing the deadline so far.
+  std::uint64_t reshards() const { return reshards_; }
 
  private:
+  // Block [begin, end) of the tile-major order owned by live position `pos`
+  // of `members` live ranks.
+  std::size_t block_begin(std::size_t pos, std::size_t members) const;
+  // Estimate pairs [begin, end) into shard_ (Pearson, then Maronna).
+  void compute_block(std::size_t begin, std::size_t end);
+  // Copy a block's values (shard_ layout) into their canonical slots.
+  void scatter(std::size_t begin, std::size_t end, const double* values);
+  // Leader: receive `member`'s block for `round` into inbox_, skipping stale
+  // duplicates. False when the replica deadline passes first.
+  bool gather(int member, std::uint64_t round);
+
   mpi::Comm& comm_;
-  mpi::Comm dup_;  // private channel namespace for the shard exchange
   CorrelationCalculator calc_;
-  std::vector<PairIndex> pairs_;      // tile-major order, built once
-  std::vector<std::size_t> offsets_;  // size() + 1 block boundaries
-  std::vector<double> mine_;          // this rank's shard values, reused
-  SymMatrix matrix_;                  // assembled result, reused across steps
-  std::vector<double> returns_;              // mirrored market returns
-  std::vector<std::uint8_t> bcast_buf_;      // return-vector broadcast staging
-  std::vector<std::uint8_t> shard_buf_;      // my shard, packed for the root
-  std::vector<std::uint8_t> mat_buf_;        // packed-matrix broadcast staging
-  std::vector<double> shard_vals_;           // root-side shard decode scratch
-  // Step-phase histograms (see class comment); handles resolved once.
-  obs::Histogram* h_broadcast_;
-  obs::Histogram* h_compute_;
-  obs::Histogram* h_exchange_;
-  obs::Histogram* h_assemble_;
+  std::chrono::milliseconds deadline_;
+  std::vector<std::int32_t> alive_;  // leader: live members, leader first
+  std::vector<std::int32_t> round_alive_;  // live members of the current round
+  std::uint64_t round_ = 0;
+  bool finished_ = false;
+  std::uint64_t reshards_ = 0;
+  CorrVectors out_;                  // leader's result, reused across steps
+  std::vector<double> returns_;      // replica's mirrored return vector
+  std::vector<double> shard_;        // one block's values, reused
+  mpi::Packer out_buf_;              // outgoing round / shard staging
+  std::vector<std::uint8_t> inbox_;  // last received round / shard
+  // Step-phase histograms (see class comment); null when not recording.
+  obs::Histogram* h_broadcast_ = nullptr;
+  obs::Histogram* h_compute_ = nullptr;
+  obs::Histogram* h_exchange_ = nullptr;
 };
 
 }  // namespace mm::stats

@@ -157,9 +157,17 @@ double ReturnWindows::pearson(std::size_t i, std::size_t j) const {
 }
 
 void ReturnWindows::pearson_matrix(SymMatrix& out) const {
-  MM_ASSERT_MSG(ready(), "pearson_matrix before the window is full");
-  MM_ASSERT_MSG(tracks_cross_sums(), "cross sums not tracked");
   if (out.size() != symbols_) out = SymMatrix(symbols_, 0.0);
+  pearson_rows(out.packed().data(), /*unit_diagonal=*/true);
+}
+
+void ReturnWindows::pearson_pairs(double* out) const {
+  pearson_rows(out, /*unit_diagonal=*/false);
+}
+
+void ReturnWindows::pearson_rows(double* out, bool unit_diagonal) const {
+  MM_ASSERT_MSG(ready(), "pearson before the window is full");
+  MM_ASSERT_MSG(tracks_cross_sums(), "cross sums not tracked");
 
   // Per-symbol variance and degeneracy, hoisted out of the O(n²) loop. The
   // expressions match pearson() exactly so every entry is bit-identical.
@@ -173,25 +181,25 @@ void ReturnWindows::pearson_matrix(SymMatrix& out) const {
         (run_length_[i] >= window_ || vi <= 1e-12 * sum_sq_[i]) ? 1.0 : 0.0;
   }
 
-  // Both packed triangles share one layout, so the kernel is a single linear
-  // walk over each with contiguous row segments.
+  // The output rows share the cross-sum triangle's row segments (with or
+  // without the diagonal slot), so the kernel is a single linear walk over
+  // each with contiguous row segments.
   const auto& kern = simd::kernels();
   const double* cp = cross_.packed().data();
-  double* op = out.packed().data();
   std::size_t base = 0;
   for (std::size_t i = 0; i < symbols_; ++i) {
     const double* crow = cp + base;
-    double* orow = op + base;
-    orow[0] = 1.0;
     const std::size_t len = symbols_ - i - 1;
+    if (unit_diagonal) *out++ = 1.0;
     if (degenerate_scratch_[i] != 0.0) {
-      std::fill(orow + 1, orow + 1 + len, 0.0);
+      std::fill(out, out + len, 0.0);
     } else {
-      kern.pearson_row(orow + 1, crow + 1, sum_.data() + i + 1,
+      kern.pearson_row(out, crow + 1, sum_.data() + i + 1,
                        variance_scratch_.data() + i + 1,
                        degenerate_scratch_.data() + i + 1, sum_[i],
                        variance_scratch_[i], n, len);
     }
+    out += len;
     base += symbols_ - i;
   }
 }

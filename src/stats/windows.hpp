@@ -11,9 +11,10 @@
 //     time-ordered arena, O(n·M) per step, so per-pair estimators (Maronna)
 //     read plain `const double*` views instead of paying a ring-buffer copy
 //     per pair (O(n²·M) per step).
-//   * pearson_matrix — fills a whole SymMatrix by walking the packed cross-
-//     sum triangle and the packed output triangle linearly, hoisting the
-//     per-symbol variance terms; entries are bit-identical to pearson(i, j).
+//   * pearson_matrix / pearson_pairs — fill a whole SymMatrix (or the
+//     canonical pair vector) by walking the packed cross-sum triangle and the
+//     output linearly, hoisting the per-symbol variance terms; entries are
+//     bit-identical to pearson(i, j).
 #pragma once
 
 #include <cstddef>
@@ -76,8 +77,14 @@ class ReturnWindows {
   // ready() and cross-sum tracking.
   void pearson_matrix(SymMatrix& out) const;
 
+  // The same entries without the diagonal, written to out[0 .. n(n-1)/2) in
+  // canonical all_pairs order (the packed strict upper triangle).
+  void pearson_pairs(double* out) const;
+
  private:
   void rebuild_sums();
+  // Shared row walk behind pearson_matrix / pearson_pairs.
+  void pearson_rows(double* out, bool unit_diagonal) const;
 
   std::size_t symbols_;
   std::size_t window_;

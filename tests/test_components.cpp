@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 
 #include "dagflow/context.hpp"
 #include "engine/components.hpp"
@@ -23,16 +24,17 @@ md::Quote quote_at(md::TimeMs ts, md::SymbolId sym, double mid) {
   return q;
 }
 
-// Runs `node` with a source that emits `input` payloads and returns every
-// payload the node emits on its port 0.
-std::vector<std::vector<std::uint8_t>> drive(dag::NodeFn node,
-                                             std::vector<std::vector<std::uint8_t>> input) {
+// Runs the node `add_uut` adds with a source that emits `input` payloads and
+// returns every payload the node emits on its port 0.
+std::vector<std::vector<std::uint8_t>> drive_node(
+    const std::function<int(dag::Graph&)>& add_uut,
+    std::vector<std::vector<std::uint8_t>> input) {
   std::vector<std::vector<std::uint8_t>> captured;
   dag::Graph g;
   const int src = g.add_node("src", [&](dag::Context& ctx) {
     for (auto& payload : input) ctx.emit(0, std::move(payload));
   });
-  const int uut = g.add_node("uut", std::move(node));
+  const int uut = add_uut(g);
   const int sink = g.add_node("sink", [&](dag::Context& ctx) {
     while (auto msg = ctx.recv()) captured.push_back(std::move(msg->bytes));
   });
@@ -40,6 +42,20 @@ std::vector<std::vector<std::uint8_t>> drive(dag::NodeFn node,
   g.connect(uut, 0, sink, 0);
   g.run();
   return captured;
+}
+
+std::vector<std::vector<std::uint8_t>> drive(dag::NodeFn node,
+                                             std::vector<std::vector<std::uint8_t>> input) {
+  return drive_node([&](dag::Graph& g) { return g.add_node("uut", std::move(node)); },
+                    std::move(input));
+}
+
+// A group node with one member (the leader).
+std::vector<std::vector<std::uint8_t>> drive_group(
+    dag::GroupNodeFn node, std::vector<std::vector<std::uint8_t>> input) {
+  return drive_node(
+      [&](dag::Graph& g) { return g.add_group_node("uut", std::move(node), 1); },
+      std::move(input));
 }
 
 TEST(FileCollector, BatchesAndFlushesRemainder) {
@@ -120,7 +136,7 @@ TEST(CorrelationStage, FramesInvalidUntilWindowFills) {
     input.push_back(snap.pack());
   }
 
-  const auto captured = drive(
+  const auto captured = drive_group(
       make_correlation_stage(2, /*corr_window=*/10, true, {}, /*fan_out=*/1), input);
   ASSERT_EQ(captured.size(), 30u);
   for (std::size_t s = 0; s < 30; ++s) {
@@ -183,6 +199,54 @@ TEST(StrategyNode, EmitsPairedEntryExitOrdersAndSummary) {
   EXPECT_EQ(entries, 1u);
   EXPECT_EQ(exits, 1u);
   EXPECT_EQ(summaries, 1u);
+}
+
+TEST(StrategyNode, ReadsItsPairsFromTheirCanonicalFrameSlots) {
+  // A non-prefix pair subset of a 5-symbol universe. Each of the stage's
+  // pairs sees its correlation dip on its own canonical slot at its own
+  // interval; every other slot dips at s = 25. Entries at exactly the
+  // expected intervals mean each pair read its own slot.
+  core::StrategyParams params = core::ParamGrid::base();
+  params.avg_window = 5;
+  params.divergence_window = 3;
+  params.spread_window = 4;
+  params.max_holding = 6;
+  params.divergence = 0.01;
+
+  constexpr std::size_t n = 5;
+  const std::vector<stats::PairIndex> pairs = {{1, 3}, {2, 4}};
+  const std::int64_t dip_at[] = {30, 20};
+  std::vector<std::vector<std::uint8_t>> input;
+  for (int s = 0; s < 40; ++s) {
+    CorrFrame frame;
+    frame.interval = s;
+    frame.valid = true;
+    frame.prices = {100.0, 100.0, 100.0, 50.0 + 0.25 * s, 50.0 + 0.25 * s};
+    frame.pearson.assign(n * (n - 1) / 2, s == 25 ? 0.5 : 0.9);
+    for (std::size_t k = 0; k < pairs.size(); ++k)
+      frame.pearson[stats::pair_slot(n, pairs[k].i, pairs[k].j)] =
+          s == dip_at[k] ? 0.5 : 0.9;
+    input.push_back(frame.pack());
+  }
+
+  const auto captured =
+      drive(make_strategy_stage(params, pairs, /*strategy_id=*/3, /*smax=*/780), input);
+
+  std::vector<int> entries(pairs.size(), 0);
+  for (const auto& bytes : captured) {
+    mpi::Unpacker u(bytes);
+    if (static_cast<RecordType>(u.get<std::uint8_t>()) != RecordType::order) continue;
+    const auto order = Order::unpack(u);
+    if (!order.is_entry) continue;
+    std::size_t k = 0;
+    while (k < pairs.size() &&
+           !(pairs[k].i == order.symbol_i && pairs[k].j == order.symbol_j))
+      ++k;
+    ASSERT_LT(k, pairs.size()) << "order for a pair the stage does not own";
+    EXPECT_EQ(order.interval, dip_at[k]) << "pair " << k;
+    ++entries[k];
+  }
+  EXPECT_EQ(entries, std::vector<int>(pairs.size(), 1));
 }
 
 TEST(ClusterStage, EmitsGroupingsAtCadence) {

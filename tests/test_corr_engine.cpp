@@ -1,6 +1,8 @@
 // Tests for the serial and parallel market-wide correlation engines.
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "common/rng.hpp"
 #include "mpmini/collectives.hpp"
 #include "mpmini/environment.hpp"
@@ -95,31 +97,71 @@ TEST(CorrelationCalculator, PsdRepairProducesPsdMaronnaMatrix) {
   EXPECT_TRUE(is_psd(calc.matrix(), 1e-7));
 }
 
+// Every step's canonical vectors from a serial calculator (empty until the
+// windows fill) — the reference the parallel engine must reproduce exactly.
+std::vector<CorrVectors> serial_steps(const CorrEngineConfig& cfg, std::size_t symbols,
+                                      const std::vector<std::vector<double>>& stream) {
+  CorrelationCalculator calc(cfg, symbols);
+  std::vector<CorrVectors> out(stream.size());
+  for (std::size_t t = 0; t < stream.size(); ++t) {
+    calc.push(stream[t]);
+    if (calc.ready()) calc.vectors_into(out[t]);
+  }
+  return out;
+}
+
+// Runs `stream` through a `ranks`-rank engine: the leader steps it, checks
+// every step against `expected` and reports its reshard count; the replicas
+// serve.
+void run_engine_against(int ranks, const CorrEngineConfig& cfg, std::size_t symbols,
+                        const std::vector<std::vector<double>>& stream,
+                        const std::vector<CorrVectors>& expected,
+                        const mpi::FaultPlan& fault,
+                        std::chrono::milliseconds deadline,
+                        std::uint64_t* reshards) {
+  mpi::Environment::run(
+      ranks,
+      [&](mpi::Comm& comm) {
+        ParallelCorrelationEngine engine(comm, cfg, symbols, nullptr, deadline);
+        if (!engine.leader()) {
+          engine.serve();
+          return;
+        }
+        for (std::size_t t = 0; t < stream.size(); ++t) {
+          const auto& got = engine.step(stream[t]);
+          EXPECT_EQ(got.pearson, expected[t].pearson) << "step " << t;
+          EXPECT_EQ(got.maronna, expected[t].maronna) << "step " << t;
+        }
+        engine.finish();
+        *reshards = engine.reshards();
+      },
+      fault);
+}
+
 class ParallelEngineRanks : public ::testing::TestWithParam<int> {};
 INSTANTIATE_TEST_SUITE_P(Ranks, ParallelEngineRanks, ::testing::Values(1, 2, 3, 5));
 
 TEST_P(ParallelEngineRanks, MatchesSerialExactly) {
   const int ranks = GetParam();
-  constexpr std::size_t symbols = 6;
-  CorrEngineConfig cfg;
-  cfg.type = Ctype::pearson;
-  cfg.window = 15;
-  const auto stream = make_stream(symbols, 40, 6);
+  // A small Pearson universe, and one past the 64-symbol pair tile with both
+  // estimators, so the shards span several tiles.
+  struct Input {
+    std::size_t symbols;
+    Ctype type;
+  };
+  for (const Input input : {Input{6, Ctype::pearson}, Input{70, Ctype::combined}}) {
+    CorrEngineConfig cfg;
+    cfg.type = input.type;
+    cfg.window = 15;
+    const auto stream = make_stream(input.symbols, 40, 6);
+    const auto expected = serial_steps(cfg, input.symbols, stream);
+    ASSERT_EQ(expected.back().pearson.size(), input.symbols * (input.symbols - 1) / 2);
 
-  // Serial reference.
-  CorrelationCalculator serial(cfg, symbols);
-  SymMatrix expected;
-  for (const auto& r : stream) serial.push(r);
-  expected = serial.matrix();
-
-  // Parallel under various rank counts; every rank's result must match.
-  mpi::Environment::run(ranks, [&](mpi::Comm& comm) {
-    ParallelCorrelationEngine engine(comm, cfg, symbols);
-    SymMatrix last;
-    for (const auto& r : stream) last = engine.step(r);
-    ASSERT_EQ(last.size(), symbols);
-    EXPECT_EQ(SymMatrix::max_abs_diff(last, expected), 0.0);
-  });
+    std::uint64_t reshards = 0;
+    run_engine_against(ranks, cfg, input.symbols, stream, expected, {},
+                       std::chrono::milliseconds{0}, &reshards);
+    EXPECT_EQ(reshards, 0u);
+  }
 }
 
 TEST(ParallelEngine, EmptyMatrixBeforeWarmup) {
@@ -127,9 +169,58 @@ TEST(ParallelEngine, EmptyMatrixBeforeWarmup) {
   cfg.window = 50;
   mpi::Environment::run(2, [&](mpi::Comm& comm) {
     ParallelCorrelationEngine engine(comm, cfg, 4);
-    const auto m = engine.step(std::vector<double>(4, 0.01));
-    EXPECT_EQ(m.size(), 0u);
+    if (!engine.leader()) {
+      engine.serve();
+      return;
+    }
+    const auto& v = engine.step(std::vector<double>(4, 0.01));
+    EXPECT_FALSE(engine.ready());
+    EXPECT_TRUE(v.pearson.empty());
+    EXPECT_TRUE(v.maronna.empty());
+    engine.finish();
   });
+}
+
+// Resharding keeps the leader's vectors bit-identical: a replica killed
+// mid-day misses its deadline, the leader stands in for its block and the
+// pairs reshard over the survivor.
+TEST(ParallelEngineFaults, KilledReplicaReshardsWithIdenticalVectors) {
+  constexpr std::size_t symbols = 12;
+  CorrEngineConfig cfg;
+  cfg.type = Ctype::combined;
+  cfg.window = 10;
+  const auto stream = make_stream(symbols, 60, 31);
+  const auto expected = serial_steps(cfg, symbols, stream);
+
+  // Rank 1 spends one op per round and two once the windows fill (step 9),
+  // so op 30 lands around step 19 of 60.
+  mpi::FaultPlan fault;
+  fault.kill_rank = 1;
+  fault.kill_at_op = 30;
+  std::uint64_t reshards = 0;
+  EXPECT_THROW(run_engine_against(3, cfg, symbols, stream, expected, fault,
+                                  std::chrono::milliseconds{1000}, &reshards),
+               mpi::RankKilled);
+  EXPECT_GE(reshards, 1u);
+}
+
+// Duplicated round and shard frames are dropped by their round numbers: the
+// vectors stay exact and no replica is resharded away.
+TEST(ParallelEngineFaults, DuplicatedFramesLeaveVectorsExact) {
+  constexpr std::size_t symbols = 12;
+  CorrEngineConfig cfg;
+  cfg.type = Ctype::combined;
+  cfg.window = 10;
+  const auto stream = make_stream(symbols, 60, 37);
+  const auto expected = serial_steps(cfg, symbols, stream);
+
+  mpi::FaultPlan fault;
+  fault.seed = 2026;
+  fault.duplicate_prob = 0.3;
+  std::uint64_t reshards = 0;
+  run_engine_against(3, cfg, symbols, stream, expected, fault,
+                     std::chrono::milliseconds{10000}, &reshards);
+  EXPECT_EQ(reshards, 0u);
 }
 
 TEST(TiledPairs, CoversEveryPairExactlyOnce) {
@@ -158,50 +249,6 @@ TEST(TiledPairs, DegeneratesToRowMajorWhenTileCoversUniverse) {
       EXPECT_EQ(pairs[k].i, canonical[k].i);
       EXPECT_EQ(pairs[k].j, canonical[k].j);
     }
-  }
-}
-
-// The tile edge is a performance knob: it reorders the pair sweep but must
-// not change a single matrix entry, serial or parallel.
-TEST(CorrelationCalculator, MatrixIndependentOfPairTile) {
-  constexpr std::size_t symbols = 10;
-  const auto stream = make_stream(symbols, 60, 17);
-  SymMatrix reference;
-  for (const std::size_t tile : {0u, 1u, 3u, 4u, 64u}) {
-    CorrEngineConfig cfg;
-    cfg.type = Ctype::maronna;  // exercises the tiled sweep in matrix_into
-    cfg.window = 25;
-    cfg.pair_tile = tile;
-    CorrelationCalculator calc(cfg, symbols);
-    for (const auto& r : stream) calc.push(r);
-    const auto m = calc.matrix();
-    if (tile == 0) {
-      reference = m;
-    } else {
-      EXPECT_EQ(SymMatrix::max_abs_diff(m, reference), 0.0) << "tile=" << tile;
-    }
-  }
-}
-
-TEST(ParallelEngine, MatchesSerialAcrossPairTiles) {
-  constexpr std::size_t symbols = 8;
-  CorrEngineConfig cfg;
-  cfg.type = Ctype::pearson;
-  cfg.window = 12;
-  const auto stream = make_stream(symbols, 30, 19);
-  CorrelationCalculator serial(cfg, symbols);
-  for (const auto& r : stream) serial.push(r);
-  const auto expected = serial.matrix();
-
-  for (const std::size_t tile : {1u, 3u, 8u}) {
-    cfg.pair_tile = tile;
-    mpi::Environment::run(3, [&](mpi::Comm& comm) {
-      ParallelCorrelationEngine engine(comm, cfg, symbols);
-      SymMatrix last;
-      for (const auto& r : stream) last = engine.step(r);
-      ASSERT_EQ(last.size(), symbols);
-      EXPECT_EQ(SymMatrix::max_abs_diff(last, expected), 0.0) << "tile=" << tile;
-    });
   }
 }
 

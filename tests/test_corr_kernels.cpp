@@ -174,16 +174,22 @@ TEST(PearsonMatrix, EqualsElementwisePearsonExactly) {
   const auto stream = golden_stream(symbols, 300, 13);
   ReturnWindows w(symbols, window, true);
   SymMatrix m;
+  // The canonical pair-vector form of the same kernel.
+  std::vector<double> pairs(symbols * (symbols - 1) / 2);
   for (const auto& r : stream) {
     w.push(r);
     if (!w.ready()) continue;
     w.pearson_matrix(m);
+    w.pearson_pairs(pairs.data());
     ASSERT_EQ(m.size(), symbols);
     for (std::size_t i = 0; i < symbols; ++i) {
       ASSERT_DOUBLE_EQ(m(i, i), 1.0);
-      for (std::size_t j = i + 1; j < symbols; ++j)
+      for (std::size_t j = i + 1; j < symbols; ++j) {
         ASSERT_DOUBLE_EQ(m(i, j), w.pearson(i, j))
             << "pair (" << i << "," << j << ")";
+        ASSERT_EQ(pairs[pair_slot(symbols, i, j)], w.pearson(i, j))
+            << "pair (" << i << "," << j << ")";
+      }
     }
   }
 }
@@ -246,7 +252,7 @@ TEST(MarketCorrSeries, WarmMatchesColdWithinTolerance) {
 
 TEST(ParallelEngine, WarmStartMatchesSerialAcrossRankCounts) {
   // Warm state is per pair and the shards are deterministic, so the parallel
-  // engine must produce identical matrices under any rank count.
+  // engine must produce identical vectors under any rank count.
   constexpr std::size_t symbols = 6;
   CorrEngineConfig cfg;
   cfg.type = Ctype::maronna;
@@ -255,20 +261,26 @@ TEST(ParallelEngine, WarmStartMatchesSerialAcrossRankCounts) {
   const auto stream = golden_stream(symbols, 60, 23);
 
   CorrelationCalculator serial(cfg, symbols);
-  SymMatrix expected;
+  CorrVectors expected;
   for (const auto& r : stream) {
     serial.push(r);
-    if (serial.ready()) expected = serial.matrix();
+    if (serial.ready()) serial.vectors_into(expected);
   }
 
   for (int ranks : {1, 3}) {
     obs::Registry registry;
     mpi::Environment::run(ranks, [&](mpi::Comm& comm) {
       ParallelCorrelationEngine engine(comm, cfg, symbols, &registry);
-      SymMatrix last;
+      if (!engine.leader()) {
+        engine.serve();
+        return;
+      }
+      CorrVectors last;
       for (const auto& r : stream) last = engine.step(r);
-      ASSERT_EQ(last.size(), symbols);
-      EXPECT_EQ(SymMatrix::max_abs_diff(last, expected), 0.0);
+      engine.finish();
+      ASSERT_EQ(last.maronna.size(), symbols * (symbols - 1) / 2);
+      EXPECT_EQ(last.maronna, expected.maronna);
+      EXPECT_EQ(last.pearson, expected.pearson);
     });
 #if MM_OBS_ENABLED
     // Step-phase timings land in the obs histograms: one compute sample per

@@ -1,0 +1,115 @@
+// PairBook — every pair of one strategy, stepped together over
+// structure-of-arrays state (the pipeline's strategy plane).
+//
+// A PairStrategy per pair keeps its own price windows, spread deques and
+// correlation ring, so each symbol's history is stored n-1 times and every
+// pair-step chases its own heap blocks. The book stores:
+//
+//   per symbol  the last C = max(W, RT) + 1 prices, as a ring of price rows
+//               (one row of `symbols` doubles per interval);
+//   per pair    the W-interval correlation history, as one strategy-wide ring
+//               of W pair rows; running sums for C̄ and the RT spread mean;
+//               the divergence streak; an open flag and a PairPosition.
+//
+// Spreads are recomputed from the price rows (Pi − Pj is exact and
+// repeatable), so the RT spread min/max is rebuilt from the rows only when a
+// pair passes the entry gate. Every decision goes through the §III rule
+// functions of core/strategy.hpp, and the running sums repeat RollingMean's
+// arithmetic (including its rebuild every 4096 pushes), so a book matches one
+// PairStrategy per pair bit for bit.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "core/params.hpp"
+#include "core/strategy.hpp"
+#include "stats/sym_matrix.hpp"
+
+namespace mm::core {
+
+class PairBook {
+ public:
+  // A position opened (trade == kOpened) or a round trip closed (trade
+  // indexes trades()) on `pair` during the last step() or finish().
+  struct Event {
+    std::uint32_t pair;
+    std::uint32_t trade;
+  };
+  static constexpr std::uint32_t kOpened = 0xffffffffu;
+
+  // `pairs` index into a universe of `symbols`; `smax` as for PairStrategy.
+  PairBook(const StrategyParams& params, std::int64_t smax, std::size_t symbols,
+           std::vector<stats::PairIndex> pairs);
+
+  // Advance every pair one interval. `prices` holds each symbol's (positive)
+  // price at the close of interval s; `corr` holds each pair's correlation in
+  // pair order and is read only when `corr_valid`. s must be strictly
+  // increasing across calls.
+  void step(std::int64_t s, const double* prices, const double* corr, bool corr_valid);
+
+  // End of trading day: close every open position at the last prices.
+  void finish();
+
+  // Events of the last step() or finish(), in pair order.
+  const std::vector<Event>& events() const { return events_; }
+
+  bool in_position(std::size_t pair) const { return open_[pair] != 0; }
+  // C̄ and the RT spread mean of `pair` as PairStrategy reports them (C̄
+  // once W correlations arrived, the spread mean after the first step).
+  double average_correlation(std::size_t pair) const;
+  double spread_average(std::size_t pair) const;
+  const PairPosition& position(std::size_t pair) const { return positions_[pair]; }
+  const std::vector<stats::PairIndex>& pairs() const { return pairs_; }
+
+  // Closed round trips in closing order.
+  const std::vector<Trade>& trades() const { return trades_; }
+  // The same trades grouped by pair in pair order, each pair's in closing
+  // order — the order of running PairStrategy over each pair in turn.
+  std::vector<Trade> trades_by_pair() const;
+
+  // Bytes held by the book's state (everything but the closed trades):
+  //   pairs   × (8·W + 8·3 + 1 + sizeof(PairPosition) + sizeof(PairIndex)
+  //              + sizeof(Event))
+  // + symbols × 8·(max(W, RT) + 1).
+  std::size_t state_bytes() const;
+
+ private:
+  double* price_row(std::size_t step) {
+    return prices_.data() + (step % rows_) * symbols_;
+  }
+  double spread_at(std::size_t step, std::size_t pair) const;
+  double spread_window_sum(std::size_t pair, std::size_t newest) const;
+  void rebuild_corr_sums();
+  void close(std::size_t pair, std::int64_t s, double price_i, double price_j,
+             ExitReason reason);
+
+  StrategyParams params_;
+  std::int64_t smax_;
+  std::size_t symbols_;
+  std::size_t window_;   // W
+  std::size_t spread_window_;  // RT
+  std::size_t rows_;     // price-ring rows: max(W, RT) + 1
+  std::vector<stats::PairIndex> pairs_;
+
+  // Per symbol: price ring, row (step % rows_).
+  std::vector<double> prices_;
+  // Per pair, structure of arrays.
+  std::vector<double> corr_hist_;   // W rows of pairs_.size(), row (push % W)
+  std::vector<double> corr_sum_;    // running Σ of the corr window
+  std::vector<double> spread_sum_;  // running Σ of the RT spread window
+  std::vector<std::int64_t> streak_;
+  std::vector<std::uint8_t> open_;
+  std::vector<PairPosition> positions_;
+
+  std::size_t steps_ = 0;
+  std::size_t corr_pushes_ = 0;
+  std::int64_t last_s_ = -1;
+
+  std::vector<Event> events_;
+  std::vector<Trade> trades_;
+  std::vector<std::uint32_t> trade_pair_;  // pair of trades_[q]
+};
+
+}  // namespace mm::core

@@ -40,6 +40,94 @@ ShareRatio size_position(double price_i, double price_j, bool long_i) {
   return {ni, nj};
 }
 
+PairPosition open_position(const StrategyParams& params, std::int64_t s, double price_i,
+                           double price_j, double first_i, double first_j,
+                           double spread_low, double spread_high, double spread_avg) {
+  // Direction (step 3): the over-performer has the higher W-interval return.
+  const double ret_i = price_i / first_i - 1.0;
+  const double ret_j = price_j / first_j - 1.0;
+  const bool long_i = ret_i < ret_j;  // long the under-performer
+
+  const auto shares = size_position(price_i, price_j, long_i);
+
+  // Retracement level (step 5), fixed at entry from the RT-window spread.
+  PairPosition pos;
+  const double entry_spread = price_i - price_j;
+  const double range = spread_high - spread_low;
+  if (entry_spread <= spread_avg) {
+    pos.retrace_level = spread_low + params.retracement * range;
+    pos.exit_when_spread_above = true;
+  } else {
+    pos.retrace_level = spread_high - params.retracement * range;
+    pos.exit_when_spread_above = false;
+  }
+
+  pos.entry_s = s;
+  // Slippage: each leg is filled at a price worsened in the direction traded.
+  const double slip = params.slippage_frac;
+  pos.entry_price_i = price_i * (shares.shares_i > 0 ? 1.0 + slip : 1.0 - slip);
+  pos.entry_price_j = price_j * (shares.shares_j > 0 ? 1.0 + slip : 1.0 - slip);
+  pos.shares_i = shares.shares_i * params.lot_size;
+  pos.shares_j = shares.shares_j * params.lot_size;
+  pos.gross_basis = std::abs(pos.shares_i) * pos.entry_price_i +
+                    std::abs(pos.shares_j) * pos.entry_price_j;
+  return pos;
+}
+
+std::optional<ExitReason> exit_signal(const StrategyParams& params,
+                                      const PairPosition& pos, std::int64_t s,
+                                      double price_i, double price_j, double corr,
+                                      bool corr_valid, double avg_corr) {
+  // Retracement cross (step 5).
+  const double spread = price_i - price_j;
+  if (pos.exit_when_spread_above ? spread >= pos.retrace_level
+                                 : spread <= pos.retrace_level)
+    return ExitReason::retracement;
+
+  // Optional absolute stop-loss on the mark-to-market return.
+  if (params.stop_loss > 0.0) {
+    const double pnl = pos.shares_i * (price_i - pos.entry_price_i) +
+                       pos.shares_j * (price_j - pos.entry_price_j);
+    if (pnl / pos.gross_basis <= -params.stop_loss) return ExitReason::stop_loss;
+  }
+
+  // Optional correlation reversion: C back inside [C̄(1-d), C̄].
+  if (params.correlation_reversion_exit && corr_valid &&
+      corr >= avg_corr * (1.0 - params.divergence) && corr <= avg_corr)
+    return ExitReason::correlation_reversion;
+
+  // Maximum holding period HP.
+  if (s - pos.entry_s >= params.max_holding) return ExitReason::max_holding;
+  return std::nullopt;
+}
+
+Trade close_trade(const StrategyParams& params, const PairPosition& pos, std::int64_t s,
+                  double price_i, double price_j, ExitReason reason) {
+  const double slip = params.slippage_frac;
+  // Exit fills are worsened opposite to the held direction (selling longs
+  // lower, buying back shorts higher).
+  const double exit_i = price_i * (pos.shares_i > 0 ? 1.0 - slip : 1.0 + slip);
+  const double exit_j = price_j * (pos.shares_j > 0 ? 1.0 - slip : 1.0 + slip);
+
+  Trade t;
+  t.entry_interval = pos.entry_s;
+  t.exit_interval = s;
+  t.entry_price_i = pos.entry_price_i;
+  t.entry_price_j = pos.entry_price_j;
+  t.exit_price_i = exit_i;
+  t.exit_price_j = exit_j;
+  t.shares_i = pos.shares_i;
+  t.shares_j = pos.shares_j;
+  t.gross_basis = pos.gross_basis;
+  const double costs =
+      params.cost_per_share * 2.0 * (std::abs(pos.shares_i) + std::abs(pos.shares_j));
+  t.pnl = pos.shares_i * (exit_i - pos.entry_price_i) +
+          pos.shares_j * (exit_j - pos.entry_price_j) - costs;
+  t.trade_return = t.pnl / t.gross_basis;
+  t.exit_reason = reason;
+  return t;
+}
+
 PairStrategy::PairStrategy(const StrategyParams& params, std::int64_t smax)
     : params_(params),
       smax_(smax),
@@ -70,17 +158,16 @@ void PairStrategy::step(std::int64_t s, double price_i, double price_j, double c
   // Update the correlation signal (step 1) and divergence freshness (step 2).
   // The average C̄ used for decisions at interval s is the trailing mean over
   // the W intervals before s (computed before pushing C(s)).
-  bool fresh_divergence = false;
+  bool fresh = false;
   bool avg_ready = false;
   double avg_corr = 0.0;
   if (corr_valid) {
     avg_ready = corr_mean_.full();
     if (avg_ready) {
       avg_corr = corr_mean_.mean();
-      const bool diverged = corr < avg_corr * (1.0 - params_.divergence);
-      diverged_streak_ = diverged ? diverged_streak_ + 1 : 0;
-      fresh_divergence =
-          diverged && diverged_streak_ <= params_.divergence_window;
+      diverged_streak_ =
+          next_divergence_streak(params_, corr, avg_corr, diverged_streak_);
+      fresh = fresh_divergence(params_, diverged_streak_);
     }
     corr_mean_.update(corr);
   } else {
@@ -88,121 +175,27 @@ void PairStrategy::step(std::int64_t s, double price_i, double price_j, double c
   }
 
   if (open_) {
-    check_exit(s, price_i, price_j, corr, corr_valid && avg_ready, avg_corr);
+    if (const auto reason = exit_signal(params_, position_, s, price_i, price_j, corr,
+                                        corr_valid && avg_ready, avg_corr))
+      close_position(s, price_i, price_j, *reason);
     return;
   }
 
-  // Entry gate (steps 2-3): all windows warm, signal fired, threshold met,
-  // and enough time left in the session (ST).
-  if (!fresh_divergence) return;
-  if (avg_corr <= params_.min_correlation) return;
+  // Entry: all windows warm and the signal gate passed.
   if (!price_hist_i_.full() || !spread_mean_.full()) return;
-  if (s >= smax_ - params_.no_entry_before_close) return;  // the ST rule
-
-  try_enter(s, price_i, price_j);
-}
-
-void PairStrategy::try_enter(std::int64_t s, double price_i, double price_j) {
-  // Direction (step 3): the over-performer has the higher W-interval return.
-  const double ret_i = price_i / price_hist_i_.oldest() - 1.0;
-  const double ret_j = price_j / price_hist_j_.oldest() - 1.0;
-  const bool long_i = ret_i < ret_j;  // long the under-performer
-
-  const auto shares = size_position(price_i, price_j, long_i);
-
-  // Retracement level (step 5), fixed at entry from the RT-window spread.
-  const double spread_high = spread_extremes_.max();
-  const double spread_low = spread_extremes_.min();
-  const double spread_avg = spread_mean_.mean();
-  const double entry_spread = price_i - price_j;
-  const double range = spread_high - spread_low;
-  if (entry_spread <= spread_avg) {
-    retrace_level_ = spread_low + params_.retracement * range;
-    exit_when_spread_above_ = true;
-  } else {
-    retrace_level_ = spread_high - params_.retracement * range;
-    exit_when_spread_above_ = false;
-  }
-
+  if (!entry_signal(params_, s, smax_, fresh, avg_corr)) return;
+  position_ = open_position(params_, s, price_i, price_j, price_hist_i_.oldest(),
+                            price_hist_j_.oldest(), spread_extremes_.min(),
+                            spread_extremes_.max(), spread_mean_.mean());
   open_ = true;
-  entry_s_ = s;
-  // Slippage: each leg is filled at a price worsened in the direction traded.
-  const double slip = params_.slippage_frac;
-  entry_price_i_ = price_i * (shares.shares_i > 0 ? 1.0 + slip : 1.0 - slip);
-  entry_price_j_ = price_j * (shares.shares_j > 0 ? 1.0 + slip : 1.0 - slip);
-  shares_i_ = shares.shares_i * params_.lot_size;
-  shares_j_ = shares.shares_j * params_.lot_size;
-  gross_basis_ = std::abs(shares_i_) * entry_price_i_ + std::abs(shares_j_) * entry_price_j_;
-}
-
-double PairStrategy::mark_to_market_return(double price_i, double price_j) const {
-  const double pnl = shares_i_ * (price_i - entry_price_i_) +
-                     shares_j_ * (price_j - entry_price_j_);
-  return pnl / gross_basis_;
-}
-
-void PairStrategy::check_exit(std::int64_t s, double price_i, double price_j,
-                              double corr, bool corr_valid, double avg_corr) {
-  // Retracement cross (step 5).
-  const double spread = price_i - price_j;
-  if (exit_when_spread_above_ ? spread >= retrace_level_ : spread <= retrace_level_) {
-    close_position(s, price_i, price_j, ExitReason::retracement);
-    return;
-  }
-
-  // Optional absolute stop-loss.
-  if (params_.stop_loss > 0.0 &&
-      mark_to_market_return(price_i, price_j) <= -params_.stop_loss) {
-    close_position(s, price_i, price_j, ExitReason::stop_loss);
-    return;
-  }
-
-  // Optional correlation reversion: C back inside [C̄(1-d), C̄].
-  if (params_.correlation_reversion_exit && corr_valid) {
-    const double avg = avg_corr;
-    if (corr >= avg * (1.0 - params_.divergence) && corr <= avg) {
-      close_position(s, price_i, price_j, ExitReason::correlation_reversion);
-      return;
-    }
-  }
-
-  // Maximum holding period HP.
-  if (s - entry_s_ >= params_.max_holding) {
-    close_position(s, price_i, price_j, ExitReason::max_holding);
-    return;
-  }
 }
 
 void PairStrategy::close_position(std::int64_t s, double price_i, double price_j,
                                   ExitReason reason) {
   MM_ASSERT(open_);
-  const double slip = params_.slippage_frac;
-  // Exit fills are worsened opposite to the held direction (selling longs
-  // lower, buying back shorts higher).
-  const double exit_i = price_i * (shares_i_ > 0 ? 1.0 - slip : 1.0 + slip);
-  const double exit_j = price_j * (shares_j_ > 0 ? 1.0 - slip : 1.0 + slip);
-
-  Trade t;
-  t.entry_interval = entry_s_;
-  t.exit_interval = s;
-  t.entry_price_i = entry_price_i_;
-  t.entry_price_j = entry_price_j_;
-  t.exit_price_i = exit_i;
-  t.exit_price_j = exit_j;
-  t.shares_i = shares_i_;
-  t.shares_j = shares_j_;
-  t.gross_basis = gross_basis_;
-  const double costs =
-      params_.cost_per_share * 2.0 * (std::abs(shares_i_) + std::abs(shares_j_));
-  t.pnl = shares_i_ * (exit_i - entry_price_i_) + shares_j_ * (exit_j - entry_price_j_) -
-          costs;
-  t.trade_return = t.pnl / t.gross_basis;
-  t.exit_reason = reason;
-  trades_.push_back(t);
-
+  trades_.push_back(close_trade(params_, position_, s, price_i, price_j, reason));
   open_ = false;
-  // A divergence that is still running must not instantly re-trigger.
-  diverged_streak_ = params_.divergence_window + 1;
+  diverged_streak_ = streak_after_close(params_);
 }
 
 void PairStrategy::finish() {

@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/params.hpp"
@@ -56,6 +57,72 @@ struct Trade {
   ExitReason exit_reason = ExitReason::end_of_day;
 };
 
+// An open position: slippage-adjusted entry fills, signed share counts and
+// the retracement exit fixed at entry.
+struct PairPosition {
+  std::int64_t entry_s = 0;
+  double entry_price_i = 0.0;
+  double entry_price_j = 0.0;
+  double shares_i = 0.0;  // signed
+  double shares_j = 0.0;
+  double gross_basis = 0.0;
+  double retrace_level = 0.0;
+  bool exit_when_spread_above = false;  // direction of the retracement cross
+};
+
+// --- §III decision rules ----------------------------------------------------
+// The per-pair reference (PairStrategy) and the strategy-wide book (PairBook)
+// both decide through these functions, so the two agree bit for bit.
+
+// Step 2: the divergence streak after C(s) against the trailing C̄ — the
+// number of consecutive intervals with C < C̄(1-d).
+inline std::int64_t next_divergence_streak(const StrategyParams& params, double corr,
+                                           double avg_corr, std::int64_t streak) {
+  return corr < avg_corr * (1.0 - params.divergence) ? streak + 1 : 0;
+}
+
+// A divergence is fresh while its streak is at most Y intervals long.
+inline bool fresh_divergence(const StrategyParams& params, std::int64_t streak) {
+  return streak > 0 && streak <= params.divergence_window;
+}
+
+// After a close, a divergence that is still running must not re-trigger.
+inline std::int64_t streak_after_close(const StrategyParams& params) {
+  return params.divergence_window + 1;
+}
+
+// Entry gate (steps 2-3) once every window is warm: a fresh divergence, C̄
+// above A, and more than ST intervals left in the session.
+inline bool entry_signal(const StrategyParams& params, std::int64_t s, std::int64_t smax,
+                         bool fresh, double avg_corr) {
+  return fresh && avg_corr > params.min_correlation &&
+         s < smax - params.no_entry_before_close;
+}
+
+// Steps 3-5 at entry: direction from the W-interval returns (`first_i`,
+// `first_j` are the legs' prices W intervals ago), sizing, the retracement
+// level from the RT-window spread low/high/average, and slippage-adjusted
+// fills.
+PairPosition open_position(const StrategyParams& params, std::int64_t s, double price_i,
+                           double price_j, double first_i, double first_j,
+                           double spread_low, double spread_high, double spread_avg);
+
+// Step 5: the exit rules in priority order (retracement, stop-loss,
+// correlation reversion, HP); nullopt keeps the position open. `corr_valid`
+// is false when C(s) or C̄ is unavailable.
+std::optional<ExitReason> exit_signal(const StrategyParams& params,
+                                      const PairPosition& position, std::int64_t s,
+                                      double price_i, double price_j, double corr,
+                                      bool corr_valid, double avg_corr);
+
+// Step 6: the round trip of `position` closed at interval s at the legs'
+// prices (exit slippage and costs applied).
+Trade close_trade(const StrategyParams& params, const PairPosition& position,
+                  std::int64_t s, double price_i, double price_j, ExitReason reason);
+
+// The per-pair reference state machine: its own windows and deques per pair.
+// The pipeline runs PairBook; run_pair_day runs this, and the two are held
+// bit-identical by tests.
 class PairStrategy {
  public:
   // `smax` is the number of intervals in the trading day; the ST rule (no new
@@ -76,22 +143,19 @@ class PairStrategy {
   const std::vector<Trade>& trades() const { return trades_; }
   std::vector<Trade> take_trades() { return std::move(trades_); }
 
-  // Introspection for tests and for the pipeline's order emission.
+  // Introspection for tests.
   bool correlation_ready() const { return corr_mean_.full(); }
   double average_correlation() const { return corr_mean_.mean(); }
-  std::int64_t entry_interval() const { return entry_s_; }
-  double position_shares_i() const { return shares_i_; }
-  double position_shares_j() const { return shares_j_; }
-  double position_entry_price_i() const { return entry_price_i_; }
-  double position_entry_price_j() const { return entry_price_j_; }
+  double spread_average() const { return spread_mean_.mean(); }
+  std::int64_t entry_interval() const { return position_.entry_s; }
+  double position_shares_i() const { return position_.shares_i; }
+  double position_shares_j() const { return position_.shares_j; }
+  double position_entry_price_i() const { return position_.entry_price_i; }
+  double position_entry_price_j() const { return position_.entry_price_j; }
 
  private:
-  void try_enter(std::int64_t s, double price_i, double price_j);
-  void check_exit(std::int64_t s, double price_i, double price_j, double corr,
-                  bool corr_valid, double avg_corr);
   void close_position(std::int64_t s, double price_i, double price_j,
                       ExitReason reason);
-  double mark_to_market_return(double price_i, double price_j) const;
 
   StrategyParams params_;
   std::int64_t smax_;
@@ -108,12 +172,7 @@ class PairStrategy {
 
   // Position state.
   bool open_ = false;
-  std::int64_t entry_s_ = 0;
-  double entry_price_i_ = 0.0, entry_price_j_ = 0.0;
-  double shares_i_ = 0.0, shares_j_ = 0.0;  // signed
-  double gross_basis_ = 0.0;
-  double retrace_level_ = 0.0;
-  bool exit_when_spread_above_ = false;  // direction of the retracement cross
+  PairPosition position_;
 
   std::int64_t last_s_ = -1;
   double last_price_i_ = 0.0, last_price_j_ = 0.0;

@@ -6,7 +6,7 @@
 #include <optional>
 #include <thread>
 
-#include "core/strategy.hpp"
+#include "core/pair_book.hpp"
 #include "dagflow/context.hpp"
 #include "engine/messages.hpp"
 #include "obs/heartbeat.hpp"
@@ -319,34 +319,46 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
   return [params, pairs = std::move(pairs), strategy_id, smax,
           stats](dag::Context& ctx) {
     obs::Histogram* step_ns = step_histogram(ctx, "engine.strategy.step_ns");
-    std::vector<core::PairStrategy> machines;
-    machines.reserve(pairs.size());
-    for (std::size_t k = 0; k < pairs.size(); ++k) machines.emplace_back(params, smax);
-
+    // Built on the first frame, which brings the universe size.
+    std::optional<core::PairBook> book;
     // Each of my pairs' slot in the canonical all-pairs order the CorrFrame
-    // vectors use; the universe size arrives with the first frame.
-    std::vector<std::size_t> frame_index(pairs.size());
-
-    const auto emit_order = [&](std::int64_t s, const stats::PairIndex& pr, double di,
-                                double dj, double pi, double pj, bool entry) {
-      Order order;
-      order.interval = s;
-      order.strategy_id = strategy_id;
-      order.symbol_i = pr.i;
-      order.symbol_j = pr.j;
-      order.shares_i = di;
-      order.shares_j = dj;
-      order.price_i = pi;
-      order.price_j = pj;
-      order.is_entry = entry ? 1 : 0;
-      ctx.emit(0, order.pack());
-      bump(stats, 0, 1, 0, 1);
-    };
-
-    bool indexed = false;
-    std::vector<double> held_i(pairs.size(), 0.0), held_j(pairs.size(), 0.0);
-    std::vector<double> last_pi(pairs.size(), 0.0), last_pj(pairs.size(), 0.0);
+    // vectors use.
+    std::vector<std::size_t> frame_index;
+    std::vector<double> corr;  // per-pair correlations, in my pair order
+    OrderBatch batch;
     std::int64_t last_interval = -1;
+
+    // The book's events as one batch: an entry order holds the position at
+    // its fills, an exit order unwinds the closed trade at its exit fills.
+    const auto emit_batch = [&](std::int64_t s) {
+      batch.orders.clear();
+      for (const auto& event : book->events()) {
+        const auto& pair = book->pairs()[event.pair];
+        Order order;
+        order.interval = s;
+        order.strategy_id = strategy_id;
+        order.symbol_i = pair.i;
+        order.symbol_j = pair.j;
+        if (event.trade == core::PairBook::kOpened) {
+          const auto& position = book->position(event.pair);
+          order.shares_i = position.shares_i;
+          order.shares_j = position.shares_j;
+          order.price_i = position.entry_price_i;
+          order.price_j = position.entry_price_j;
+          order.is_entry = 1;
+        } else {
+          const auto& trade = book->trades()[event.trade];
+          order.shares_i = -trade.shares_i;
+          order.shares_j = -trade.shares_j;
+          order.price_i = trade.exit_price_i;
+          order.price_j = trade.exit_price_j;
+        }
+        batch.orders.push_back(order);
+      }
+      if (batch.orders.empty()) return;
+      ctx.emit(0, batch.pack());
+      bump(stats, 0, 1, 0, batch.orders.size());
+    };
 
     while (auto msg = ctx.recv()) {
       mpi::Unpacker u(msg->bytes);
@@ -356,72 +368,45 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
       bump(stats, 1, 0, 1, 0);
       last_interval = frame.interval;
 
-      if (!indexed) {
+      if (!book) {
         const std::size_t n = frame.prices.size();
-        for (std::size_t k = 0; k < pairs.size(); ++k) {
-          MM_ASSERT_MSG(pairs[k].i < pairs[k].j && pairs[k].j < n, "pair not in universe");
-          frame_index[k] = stats::pair_slot(n, pairs[k].i, pairs[k].j);
+        for (const auto& pair : pairs) {
+          MM_ASSERT_MSG(pair.i < pair.j && pair.j < n, "pair not in universe");
+          frame_index.push_back(stats::pair_slot(n, pair.i, pair.j));
         }
-        indexed = true;
+        corr.resize(pairs.size());
+        book.emplace(params, smax, n, pairs);
       }
 
       obs::ObsSpan step(ctx.ring(), "strategy-step", step_ns);
-      for (std::size_t k = 0; k < pairs.size(); ++k) {
-        auto& machine = machines[k];
-        const double pi = frame.prices[pairs[k].i];
-        const double pj = frame.prices[pairs[k].j];
-        last_pi[k] = pi;
-        last_pj[k] = pj;
-
-        double corr = 0.0;
-        if (frame.valid) {
-          const double pearson_r = frame.pearson[frame_index[k]];
+      if (frame.valid) {
+        for (std::size_t k = 0; k < pairs.size(); ++k) {
+          const std::size_t slot = frame_index[k];
           switch (params.ctype) {
             case stats::Ctype::pearson:
-              corr = pearson_r;
+              corr[k] = frame.pearson[slot];
               break;
             case stats::Ctype::maronna:
-              corr = frame.maronna[frame_index[k]];
+              corr[k] = frame.maronna[slot];
               break;
             case stats::Ctype::combined:
-              corr = stats::combine(pearson_r, frame.maronna[frame_index[k]]);
+              corr[k] = stats::combine(frame.pearson[slot], frame.maronna[slot]);
               break;
           }
         }
-
-        const bool was_open = machine.in_position();
-        const std::size_t trades_before = machine.trades().size();
-        machine.step(frame.interval, pi, pj, corr, frame.valid);
-
-        if (!was_open && machine.in_position()) {
-          held_i[k] = machine.position_shares_i();
-          held_j[k] = machine.position_shares_j();
-          emit_order(frame.interval, pairs[k], held_i[k], held_j[k],
-                     machine.position_entry_price_i(),
-                     machine.position_entry_price_j(), true);
-        }
-        if (machine.trades().size() > trades_before) {
-          const auto& t = machine.trades().back();
-          emit_order(frame.interval, pairs[k], -t.shares_i, -t.shares_j,
-                     t.exit_price_i, t.exit_price_j, false);
-          held_i[k] = held_j[k] = 0.0;
-        }
       }
+      book->step(frame.interval, frame.prices.data(),
+                 frame.valid ? corr.data() : nullptr, frame.valid);
+      emit_batch(frame.interval);
     }
 
-    // End of day: flatten and summarize.
+    // End of day: flatten and summarize, pair by pair.
     StrategySummary summary;
     summary.strategy_id = strategy_id;
-    for (std::size_t k = 0; k < pairs.size(); ++k) {
-      auto& machine = machines[k];
-      const std::size_t trades_before = machine.trades().size();
-      machine.finish();
-      if (machine.trades().size() > trades_before) {
-        const auto& t = machine.trades().back();
-        emit_order(last_interval, pairs[k], -t.shares_i, -t.shares_j, t.exit_price_i,
-                   t.exit_price_j, false);
-      }
-      for (const auto& t : machine.trades()) {
+    if (book) {
+      book->finish();
+      emit_batch(last_interval);
+      for (const auto& t : book->trades_by_pair()) {
         ++summary.trades;
         summary.total_pnl += t.pnl;
         summary.trade_returns.push_back(t.trade_return);
@@ -435,43 +420,61 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
 dag::NodeFn make_master(MasterReport* report, RiskConfig risk, StageStats* stats) {
   MM_ASSERT(report != nullptr);
   return [report, risk, stats](dag::Context& ctx) {
-    std::map<std::int64_t, std::uint64_t> baskets;  // interval -> orders netted
-    // Per-(interval, symbol) signed share flow for netting accounting.
-    std::map<std::int64_t, std::map<std::uint32_t, double>> basket_flow;
-    std::map<std::uint32_t, double> last_price;
+    // Dense per-symbol positions, grown to the largest symbol seen.
+    std::vector<double> net, last_price;
+    // Σ |net| × last price over all symbols, kept current from the two legs
+    // each order touches; reset exactly whenever every position is flat, so
+    // rounding never carries across flat points.
+    double gross = 0.0;
+    std::size_t open_symbols = 0;
+    // Per-(interval, symbol) signed share flow for netting accounting; one
+    // dense row per interval.
+    std::map<std::int64_t, std::vector<double>> basket_flow;
 
-    const auto apply_leg = [&](const Order& order, std::uint32_t symbol,
+    const auto apply_leg = [&](std::vector<double>& flow, std::uint32_t symbol,
                                double shares, double price) {
-      report->net_shares[symbol] += shares;
+      if (symbol >= net.size()) {
+        net.resize(symbol + 1, 0.0);
+        last_price.resize(symbol + 1, 0.0);
+      }
+      if (symbol >= flow.size()) flow.resize(symbol + 1, 0.0);
+      double& position = net[symbol];
+      const double before = std::abs(position) * last_price[symbol];
+      if (position != 0.0) --open_symbols;
+      position += shares;
+      if (position != 0.0) ++open_symbols;
       last_price[symbol] = price;
+      gross += std::abs(position) * price - before;
       report->raw_order_shares += std::abs(shares);
-      basket_flow[order.interval][symbol] += shares;
-      if (risk.max_symbol_shares > 0.0 &&
-          std::abs(report->net_shares[symbol]) > risk.max_symbol_shares)
+      flow[symbol] += shares;
+      if (risk.max_symbol_shares > 0.0 && std::abs(position) > risk.max_symbol_shares)
         ++report->symbol_limit_breaches;
+    };
+
+    const auto apply_order = [&](const Order& order) {
+      ++report->orders;
+      report->order_log.push_back(order);
+      if (order.is_entry) ++report->entries;
+      else ++report->exits;
+      auto& flow = basket_flow[order.interval];
+      apply_leg(flow, order.symbol_i, order.shares_i, order.price_i);
+      apply_leg(flow, order.symbol_j, order.shares_j, order.price_j);
+      if (open_symbols == 0) gross = 0.0;
+
+      report->peak_gross_notional = std::max(report->peak_gross_notional, gross);
+      if (risk.max_gross_notional > 0.0 && gross > risk.max_gross_notional)
+        ++report->gross_limit_breaches;
     };
 
     while (auto msg = ctx.recv()) {
       mpi::Unpacker u(msg->bytes);
       const auto type = static_cast<RecordType>(u.get<std::uint8_t>());
-      bump(stats, 1, 0, 0, 0);
-      if (type == RecordType::order) {
-        const auto order = Order::unpack(u);
-        ++report->orders;
-        report->order_log.push_back(order);
-        if (order.is_entry) ++report->entries;
-        else ++report->exits;
-        apply_leg(order, order.symbol_i, order.shares_i, order.price_i);
-        apply_leg(order, order.symbol_j, order.shares_j, order.price_j);
-        ++baskets[order.interval];
-
-        double gross = 0.0;
-        for (const auto& [symbol, net] : report->net_shares)
-          gross += std::abs(net) * last_price[symbol];
-        report->peak_gross_notional = std::max(report->peak_gross_notional, gross);
-        if (risk.max_gross_notional > 0.0 && gross > risk.max_gross_notional)
-          ++report->gross_limit_breaches;
+      if (type == RecordType::order_batch) {
+        const auto batch = OrderBatch::unpack(u);
+        bump(stats, 1, 0, batch.orders.size(), 0);
+        for (const auto& order : batch.orders) apply_order(order);
       } else if (type == RecordType::strategy_summary) {
+        bump(stats, 1, 0, 0, 0);
         auto summary = StrategySummary::unpack(u);
         report->trades += summary.trades;
         report->total_pnl += summary.total_pnl;
@@ -483,15 +486,19 @@ dag::NodeFn make_master(MasterReport* report, RiskConfig risk, StageStats* stats
         MM_ASSERT_MSG(false, "master: unexpected record type");
       }
     }
-    report->basket_count = baskets.size();
+    report->basket_count = basket_flow.size();
     // Arrival order across workers is a race; sort for deterministic reports.
     std::sort(report->strategy_summaries.begin(), report->strategy_summaries.end(),
               [](const StrategySummary& a, const StrategySummary& b) {
                 return a.strategy_id < b.strategy_id;
               });
-    for (const auto& [interval, flows] : basket_flow)
-      for (const auto& [symbol, net] : flows)
-        report->netted_order_shares += std::abs(net);
+    // Symbols an interval never traded hold +0.0 and add nothing.
+    for (const auto& [interval, row] : basket_flow)
+      for (const double shares : row) report->netted_order_shares += std::abs(shares);
+    // Order prices are positive, so a traded symbol has a last price > 0.
+    for (std::uint32_t symbol = 0; symbol < net.size(); ++symbol)
+      if (last_price[symbol] > 0.0)
+        report->net_shares.emplace_hint(report->net_shares.end(), symbol, net[symbol]);
 
     // Degradation section: which strategy streams ended in a failure marker
     // (or silence) rather than a clean end-of-day.

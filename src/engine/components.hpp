@@ -13,8 +13,9 @@
 //                 on one or more ranks): all-pairs Pearson plus optional
 //                 per-pair Maronna over the sliding M-window, fanned out to
 //                 every strategy node;
-//   strategy    — one parameter set across a set of pairs, emitting Order
-//                 records and an end-of-day StrategySummary;
+//   strategy    — one parameter set across a set of pairs (a core::PairBook),
+//                 emitting one OrderBatch per interval with orders and an
+//                 end-of-day StrategySummary;
 //   master      — order aggregation (netting into baskets), risk accounting,
 //                 and the run report.
 #pragma once

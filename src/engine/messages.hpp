@@ -17,7 +17,7 @@ enum class RecordType : std::uint8_t {
   quote_batch = 1,
   snapshot = 2,
   corr_frame = 3,
-  order = 4,
+  order_batch = 4,
   strategy_summary = 5,
   cluster_snapshot = 6,
 };
@@ -127,14 +127,24 @@ struct Order {
   double price_i = 0.0;
   double price_j = 0.0;
   std::uint8_t is_entry = 0;
+};
+
+// The orders one strategy placed in one interval, in placement order: the
+// strategy stage sends one batch per interval that has orders.
+struct OrderBatch {
+  std::vector<Order> orders;
 
   std::vector<std::uint8_t> pack() const {
     mpi::Packer p;
-    p.put<std::uint8_t>(static_cast<std::uint8_t>(RecordType::order));
-    p.put(*this);
+    p.put<std::uint8_t>(static_cast<std::uint8_t>(RecordType::order_batch));
+    p.put_vector(orders);
     return p.take();
   }
-  static Order unpack(mpi::Unpacker& u) { return u.get<Order>(); }
+  static OrderBatch unpack(mpi::Unpacker& u) {
+    OrderBatch b;
+    b.orders = u.get_vector<Order>();
+    return b;
+  }
 };
 
 // End-of-day totals from one strategy node.

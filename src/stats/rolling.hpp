@@ -69,6 +69,10 @@ class RollingWindow {
 
 class RollingMean {
  public:
+  // The running sum is rebuilt from the window every this many pushes, to
+  // cap floating-point drift.
+  static constexpr std::size_t kRebuildPushes = 4096;
+
   explicit RollingMean(std::size_t window) : window_(window) {
     MM_ASSERT(window > 0);
   }
@@ -77,8 +81,7 @@ class RollingMean {
     if (window_.full()) sum_ -= window_.oldest();
     window_.push(value);
     sum_ += value;
-    // Rebuild the running sum periodically to cap floating-point drift.
-    if (++pushes_ % 4096 == 0) {
+    if (++pushes_ % kRebuildPushes == 0) {
       sum_ = 0.0;
       for (std::size_t i = 0; i < window_.size(); ++i) sum_ += window_[i];
     }

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <functional>
+#include <map>
+#include <string>
 
 #include "dagflow/context.hpp"
 #include "engine/components.hpp"
@@ -181,15 +183,16 @@ TEST(StrategyNode, EmitsPairedEntryExitOrdersAndSummary) {
   for (const auto& bytes : captured) {
     mpi::Unpacker u(bytes);
     const auto type = static_cast<RecordType>(u.get<std::uint8_t>());
-    if (type == RecordType::order) {
-      const auto order = Order::unpack(u);
-      EXPECT_EQ(order.strategy_id, 7);
-      if (order.is_entry) {
-        ++entries;
-        EXPECT_EQ(order.interval, 30);
-      } else {
-        ++exits;
-        // Exit shares cancel the entry exactly (flat after round trip).
+    if (type == RecordType::order_batch) {
+      for (const auto& order : OrderBatch::unpack(u).orders) {
+        EXPECT_EQ(order.strategy_id, 7);
+        if (order.is_entry) {
+          ++entries;
+          EXPECT_EQ(order.interval, 30);
+        } else {
+          ++exits;
+          // Exit shares cancel the entry exactly (flat after round trip).
+        }
       }
     } else if (type == RecordType::strategy_summary) {
       ++summaries;
@@ -235,16 +238,18 @@ TEST(StrategyNode, ReadsItsPairsFromTheirCanonicalFrameSlots) {
   std::vector<int> entries(pairs.size(), 0);
   for (const auto& bytes : captured) {
     mpi::Unpacker u(bytes);
-    if (static_cast<RecordType>(u.get<std::uint8_t>()) != RecordType::order) continue;
-    const auto order = Order::unpack(u);
-    if (!order.is_entry) continue;
-    std::size_t k = 0;
-    while (k < pairs.size() &&
-           !(pairs[k].i == order.symbol_i && pairs[k].j == order.symbol_j))
-      ++k;
-    ASSERT_LT(k, pairs.size()) << "order for a pair the stage does not own";
-    EXPECT_EQ(order.interval, dip_at[k]) << "pair " << k;
-    ++entries[k];
+    if (static_cast<RecordType>(u.get<std::uint8_t>()) != RecordType::order_batch)
+      continue;
+    for (const auto& order : OrderBatch::unpack(u).orders) {
+      if (!order.is_entry) continue;
+      std::size_t k = 0;
+      while (k < pairs.size() &&
+             !(pairs[k].i == order.symbol_i && pairs[k].j == order.symbol_j))
+        ++k;
+      ASSERT_LT(k, pairs.size()) << "order for a pair the stage does not own";
+      EXPECT_EQ(order.interval, dip_at[k]) << "pair " << k;
+      ++entries[k];
+    }
   }
   EXPECT_EQ(entries, std::vector<int>(pairs.size(), 1));
 }
@@ -294,7 +299,7 @@ TEST(MasterNode, AggregatesAcrossInputs) {
         order.price_i = 10.0;
         order.price_j = 5.0;
         order.is_entry = 1;
-        ctx.emit(0, order.pack());
+        ctx.emit(0, OrderBatch{{order}}.pack());
       }
       StrategySummary summary;
       summary.strategy_id = id;
@@ -320,6 +325,150 @@ TEST(MasterNode, AggregatesAcrossInputs) {
   // Netting: intervals 0 and 1 carry orders from both strategies, same side,
   // so raw == netted there; no reduction anywhere (all same-signed).
   EXPECT_DOUBLE_EQ(report.raw_order_shares, report.netted_order_shares);
+}
+
+// The master's accounting recomputed from scratch over its order log with
+// std::maps and a full walk of every symbol after each order.
+struct MapOracle {
+  std::map<std::uint32_t, double> net_shares;
+  double raw = 0.0, netted = 0.0, peak_gross = 0.0;
+  std::uint64_t baskets = 0, symbol_breaches = 0, gross_breaches = 0;
+
+  MapOracle(const std::vector<Order>& log, const RiskConfig& risk) {
+    std::map<std::int64_t, std::map<std::uint32_t, double>> flow;
+    std::map<std::uint32_t, double> last_price;
+    const auto leg = [&](const Order& o, std::uint32_t symbol, double shares,
+                         double price) {
+      net_shares[symbol] += shares;
+      last_price[symbol] = price;
+      raw += std::abs(shares);
+      flow[o.interval][symbol] += shares;
+      if (std::abs(net_shares[symbol]) > risk.max_symbol_shares) ++symbol_breaches;
+    };
+    for (const auto& o : log) {
+      leg(o, o.symbol_i, o.shares_i, o.price_i);
+      leg(o, o.symbol_j, o.shares_j, o.price_j);
+      double gross = 0.0;
+      for (const auto& [symbol, net] : net_shares)
+        gross += std::abs(net) * last_price[symbol];
+      peak_gross = std::max(peak_gross, gross);
+      if (gross > risk.max_gross_notional) ++gross_breaches;
+    }
+    baskets = flow.size();
+    for (const auto& [interval, symbols] : flow)
+      for (const auto& [symbol, shares] : symbols) netted += std::abs(shares);
+  }
+};
+
+TEST(MasterNode, DenseAccountingMatchesMapRecomputation) {
+  // Three strategies each send a seeded stream of OrderBatches over 300
+  // intervals on 40 symbols: random pairs, integer share deltas that drift
+  // positions past the per-symbol limit, and a periodic full unwind so the
+  // book goes flat and reopens.
+  constexpr int kStrategies = 3;
+  constexpr std::uint32_t kSymbolCount = 40;
+  std::vector<std::vector<OrderBatch>> streams(kStrategies);
+  for (int id = 0; id < kStrategies; ++id) {
+    mm::Rng rng(100 + static_cast<std::uint64_t>(id));
+    std::map<std::uint32_t, double> held;  // this strategy's net per symbol
+    for (std::int64_t s = 0; s < 300; ++s) {
+      OrderBatch batch;
+      if (s % 75 == 74) {
+        // Unwind everything this strategy holds, one order per symbol pair.
+        std::vector<std::uint32_t> open;
+        for (const auto& [symbol, net] : held)
+          if (net != 0.0) open.push_back(symbol);
+        for (std::size_t k = 0; k < open.size(); k += 2) {
+          Order o;
+          o.interval = s;
+          o.strategy_id = id;
+          o.symbol_i = open[k];
+          o.symbol_j = k + 1 < open.size() ? open[k + 1] : (open[k] + 1) % kSymbolCount;
+          o.shares_i = -held[o.symbol_i];
+          o.shares_j = -held[o.symbol_j];
+          o.price_i = rng.uniform(10.0, 100.0);
+          o.price_j = rng.uniform(10.0, 100.0);
+          held[o.symbol_i] += o.shares_i;
+          held[o.symbol_j] += o.shares_j;
+          batch.orders.push_back(o);
+        }
+      } else {
+        const auto orders = rng.uniform_int(6);  // some intervals send nothing
+        for (std::uint64_t k = 0; k < orders; ++k) {
+          Order o;
+          o.interval = s;
+          o.strategy_id = id;
+          o.symbol_i = static_cast<std::uint32_t>(rng.uniform_int(kSymbolCount - 1));
+          const auto above = rng.uniform_int(kSymbolCount - 1 - o.symbol_i);
+          o.symbol_j = o.symbol_i + 1 + static_cast<std::uint32_t>(above);
+          o.shares_i = static_cast<double>(rng.uniform_int(300)) - 150.0;
+          o.shares_j = static_cast<double>(rng.uniform_int(300)) - 140.0;
+          o.price_i = rng.uniform(10.0, 100.0);
+          o.price_j = rng.uniform(10.0, 100.0);
+          o.is_entry = static_cast<std::uint8_t>(rng.uniform_int(2));
+          held[o.symbol_i] += o.shares_i;
+          held[o.symbol_j] += o.shares_j;
+          batch.orders.push_back(o);
+        }
+      }
+      if (!batch.orders.empty()) streams[static_cast<std::size_t>(id)].push_back(batch);
+    }
+  }
+
+  RiskConfig risk;
+  risk.max_symbol_shares = 600.0;
+  risk.max_gross_notional = 400'000.0;
+  MasterReport report;
+  dag::Graph g;
+  const int master = g.add_node("master", make_master(&report, risk));
+  for (int id = 0; id < kStrategies; ++id) {
+    const int src = g.add_node("s" + std::to_string(id), [&, id](dag::Context& ctx) {
+      for (const auto& batch : streams[static_cast<std::size_t>(id)])
+        ctx.emit(0, batch.pack());
+    });
+    g.connect(src, 0, master, id);
+  }
+  g.run();
+
+  // The log holds every order once, each strategy's in the order it sent.
+  std::size_t sent = 0;
+  for (int id = 0; id < kStrategies; ++id) {
+    std::vector<Order> mine;
+    for (const auto& o : report.order_log)
+      if (o.strategy_id == id) mine.push_back(o);
+    std::size_t q = 0;
+    for (const auto& batch : streams[static_cast<std::size_t>(id)]) {
+      for (const auto& o : batch.orders) {
+        ASSERT_LT(q, mine.size()) << "strategy " << id;
+        const auto& got = mine[q];
+        EXPECT_TRUE(got.interval == o.interval && got.symbol_i == o.symbol_i &&
+                    got.symbol_j == o.symbol_j && got.shares_i == o.shares_i &&
+                    got.shares_j == o.shares_j && got.price_i == o.price_i &&
+                    got.price_j == o.price_j && got.is_entry == o.is_entry)
+            << "strategy " << id << " order " << q;
+        ++q;
+      }
+    }
+    EXPECT_EQ(q, mine.size()) << "strategy " << id;
+    sent += q;
+  }
+  ASSERT_EQ(report.order_log.size(), sent);
+  EXPECT_EQ(report.orders, sent);
+
+  const MapOracle oracle(report.order_log, risk);
+  EXPECT_EQ(report.net_shares, oracle.net_shares);
+  EXPECT_EQ(report.raw_order_shares, oracle.raw);
+  EXPECT_EQ(report.netted_order_shares, oracle.netted);
+  EXPECT_EQ(report.basket_count, oracle.baskets);
+  EXPECT_EQ(report.symbol_limit_breaches, oracle.symbol_breaches);
+  EXPECT_NEAR(report.peak_gross_notional, oracle.peak_gross, 1e-9 * oracle.peak_gross);
+  EXPECT_EQ(report.gross_limit_breaches, oracle.gross_breaches);
+
+  // The stream exercises every check on both sides of its limit.
+  EXPECT_GT(oracle.symbol_breaches, 0u);
+  EXPECT_GT(oracle.gross_breaches, 0u);
+  EXPECT_LT(oracle.gross_breaches, report.orders);
+  EXPECT_LT(oracle.netted, oracle.raw);
 }
 
 }  // namespace

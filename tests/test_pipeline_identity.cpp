@@ -1,8 +1,10 @@
-// Bit-identity of the robust estimators through the Fig. 1 pipeline: a
-// Maronna and a Combined strategy streamed through run_pipeline, on one and
-// on two correlation ranks, must reproduce the direct Approach-3 backtest
-// (compute_market_corr_series + run_pair_day) trade for trade and bit for bit
-// in every strategy's pnl.
+// Bit-identity of the Fig. 1 pipeline against the direct Approach-3 backtest
+// (compute_market_corr_series + run_pair_day, one PairStrategy per pair):
+//   * a Maronna and a Combined strategy, on one and on two correlation ranks;
+//   * the wide-day shape — two Pearson strategies at W = 60 and W = 120 over
+//     every pair of 24 symbols, so the strategy stage's PairBook runs
+//     strategy-wide state at two history depths.
+// Trade counts and every strategy's pnl must match bit for bit.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -32,18 +34,19 @@ std::vector<std::vector<double>> direct_bam(const md::Universe& universe,
                                             const std::vector<md::Quote>& quotes,
                                             const PipelineConfig& cfg,
                                             std::int64_t delta_s) {
-  md::QuoteCleaner cleaner(kSymbols, cfg.cleaner);
+  const std::size_t n = cfg.symbols;
+  md::QuoteCleaner cleaner(n, cfg.cleaner);
   const auto cleaned = cleaner.clean(quotes);
   const md::Session session;
-  auto bam = md::sample_bam_series(cleaned, kSymbols, session, delta_s);
-  std::vector<bool> seen(kSymbols, false);
+  auto bam = md::sample_bam_series(cleaned, n, session, delta_s);
+  std::vector<bool> seen(n, false);
   std::size_t qi = 0;
   const auto smax = static_cast<std::size_t>(session.interval_count(delta_s));
   for (std::size_t s = 0; s < smax; ++s) {
     const auto end = session.interval_end(static_cast<std::int64_t>(s), delta_s);
     for (; qi < cleaned.size() && cleaned[qi].ts_ms < end; ++qi)
       seen[cleaned[qi].symbol] = true;
-    for (std::size_t i = 0; i < kSymbols; ++i)
+    for (std::size_t i = 0; i < n; ++i)
       if (!seen[i]) bam[i][s] = universe.base_price[i];
   }
   return bam;
@@ -95,6 +98,64 @@ TEST(Pipeline, MaronnaAndCombinedMatchDirectBacktestBitForBit) {
           << "replicas " << replicas << " strategy " << s;
     }
   }
+}
+
+TEST(Pipeline, WidePearsonDayMatchesDirectBacktestBitForBit) {
+  constexpr std::size_t n = 24;
+  const auto universe = md::make_universe(n);
+  md::GeneratorConfig gen;
+  gen.quote_rate = 0.3;
+  const md::SyntheticDay day(universe, gen, 1);
+
+  PipelineConfig cfg;
+  cfg.symbols = n;
+  core::StrategyParams w60 = core::ParamGrid::base();
+  core::StrategyParams w120 = w60;
+  w120.avg_window = 120;
+  cfg.strategies = {w60, w120};
+
+  const auto bam = direct_bam(universe, day.quotes(), cfg, w60.delta_s);
+  const auto market = core::compute_market_corr_series(bam, w60.corr_window, false);
+  const auto pairs = stats::all_pairs(n);
+  std::vector<std::uint64_t> direct_trades;
+  std::vector<std::string> direct_pnl;
+  std::uint64_t all_trades = 0;
+  for (const auto& params : cfg.strategies) {
+    std::uint64_t trades = 0;
+    double pnl = 0.0;
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+      for (const auto& t :
+           core::run_pair_day(params, bam[pairs[k].i], bam[pairs[k].j], market, k)) {
+        ++trades;
+        pnl += t.pnl;
+      }
+    }
+    EXPECT_GT(trades, 0u) << "W=" << params.avg_window;
+    direct_trades.push_back(trades);
+    direct_pnl.push_back(format("%a", pnl));
+    all_trades += trades;
+  }
+
+  const auto streamed = run_pipeline(cfg, universe, day.quotes());
+  ASSERT_FALSE(streamed.degraded);
+  const auto& summaries = streamed.master.strategy_summaries;
+  ASSERT_EQ(summaries.size(), cfg.strategies.size());
+  for (std::size_t s = 0; s < summaries.size(); ++s) {
+    EXPECT_EQ(summaries[s].trades, direct_trades[s]) << "strategy " << s;
+    EXPECT_EQ(format("%a", summaries[s].total_pnl), direct_pnl[s]) << "strategy " << s;
+  }
+  EXPECT_EQ(streamed.master.orders, 2 * all_trades);
+
+  // Each strategy stage sends one OrderBatch per interval with orders plus
+  // its summary (records_out) and counts the orders in them (items_out).
+  std::uint64_t stage_orders = 0;
+  for (const auto& stage : streamed.stages) {
+    if (stage.name.rfind("strategy-", 0) != 0) continue;
+    EXPECT_GE(stage.records_out, 2u) << stage.name;
+    EXPECT_LE(stage.records_out, 780u + 1u) << stage.name;
+    stage_orders += stage.items_out;
+  }
+  EXPECT_EQ(stage_orders, streamed.master.orders);
 }
 
 }  // namespace

@@ -5,10 +5,8 @@
 //   BM_Transport*     — the intra-process transport hot path over persistent
 //                       worlds: per-message cost, blocking round-trip
 //                       percentiles, saturation throughput and allocation
-//                       counts, for the lock-free ring path, the locked
-//                       fallback, and a faithful replica of the pre-ring
-//                       heap-and-lock mailbox (the "before" side of the
-//                       before/after comparison). `bench_json` emits exactly
+//                       counts, for the lock-free ring path and the locked
+//                       fallback. `scripts/bench_json.sh` emits exactly
 //                       this family into BENCH_mpmini.json.
 //   everything else   — macro benchmarks over Environment::run (world spawn,
 //                       collectives), which measure coordination rather than
@@ -26,14 +24,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
-#include <cstring>
-#include <deque>
 #include <functional>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -70,93 +62,6 @@ namespace {
 
 using namespace mm::mpi;
 using clk = std::chrono::steady_clock;
-
-// --- legacy baseline ---------------------------------------------------------
-// Faithful replica of the pre-ring mailbox transport: one mutex around a
-// std::deque of messages and a std::list of shared_ptr receive tickets, a
-// condition-variable notify on every delivery, and a heap-allocated ticket
-// per receive. Kept here, not in the library, so the before/after comparison
-// in BENCH_mpmini.json is measured rather than remembered.
-namespace legacy {
-
-struct Ticket {
-  std::uint64_t comm_id = 0;
-  int source = any_source;
-  int tag = any_tag;
-  bool done = false;
-  Message message;
-};
-
-class Mailbox {
- public:
-  void deliver(Message msg) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (!(*it)->done && matches(**it, msg)) {
-        (*it)->message = std::move(msg);
-        (*it)->done = true;
-        pending_.erase(it);
-        lock.unlock();
-        cv_.notify_all();
-        return;
-      }
-    }
-    queue_.push_back(std::move(msg));
-    lock.unlock();
-    cv_.notify_all();
-  }
-
-  std::shared_ptr<Ticket> post_recv(std::uint64_t comm_id, int source, int tag) {
-    auto ticket = std::make_shared<Ticket>();
-    ticket->comm_id = comm_id;
-    ticket->source = source;
-    ticket->tag = tag;
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-      if (matches(*ticket, *it)) {
-        ticket->message = std::move(*it);
-        ticket->done = true;
-        queue_.erase(it);
-        return ticket;
-      }
-    }
-    pending_.push_back(ticket);
-    return ticket;
-  }
-
-  Message wait(const std::shared_ptr<Ticket>& ticket) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return ticket->done; });
-    return std::move(ticket->message);
-  }
-
-  Message recv(std::uint64_t comm_id, int source, int tag) {
-    return wait(post_recv(comm_id, source, tag));
-  }
-
- private:
-  static bool matches(const Ticket& t, const Message& m) {
-    return t.comm_id == m.comm_id &&
-           (t.source == any_source || t.source == m.source) &&
-           (t.tag == any_tag || t.tag == m.tag);
-  }
-
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<Message> queue_;
-  std::list<std::shared_ptr<Ticket>> pending_;
-};
-
-Message make_message(int source, int tag, std::vector<std::uint8_t> payload) {
-  Message m;
-  m.source = source;
-  m.tag = tag;
-  m.comm_id = 1;
-  m.payload = std::move(payload);
-  return m;
-}
-
-}  // namespace legacy
 
 // Percentile over a sample vector (ns); sorts a copy.
 void report_percentiles(benchmark::State& state, std::vector<double>& samples) {
@@ -196,29 +101,10 @@ void BM_TransportSelfLoop(benchmark::State& state, TransportMode mode) {
       static_cast<double>(a1 - a0) / static_cast<double>(state.iterations());
 }
 
-void BM_TransportSelfLoopLegacy(benchmark::State& state) {
-  legacy::Mailbox box;
-  std::vector<std::uint8_t> payload(8, 0x5a);
-  for (int i = 0; i < 512; ++i) {
-    box.deliver(legacy::make_message(0, 1, std::move(payload)));
-    payload = box.recv(1, 0, 1).payload;
-  }
-  const std::uint64_t a0 = g_alloc_count.load();
-  for (auto _ : state) {
-    box.deliver(legacy::make_message(0, 1, std::move(payload)));
-    payload = box.recv(1, 0, 1).payload;
-  }
-  const std::uint64_t a1 = g_alloc_count.load();
-  state.SetItemsProcessed(state.iterations());
-  state.counters["allocs_per_msg"] =
-      static_cast<double>(a1 - a0) / static_cast<double>(state.iterations());
-}
-
 BENCHMARK_CAPTURE(BM_TransportSelfLoop, ring, TransportMode::ring)
     ->Iterations(100000);
 BENCHMARK_CAPTURE(BM_TransportSelfLoop, locked, TransportMode::locked)
     ->Iterations(100000);
-BENCHMARK(BM_TransportSelfLoopLegacy)->Iterations(100000);
 
 // --- transport: blocking pingpong over a persistent world --------------------
 // Real two-thread round trips with both sides blocking, the regime a DAG
@@ -272,36 +158,12 @@ void BM_TransportPingPong(benchmark::State& state, TransportMode mode) {
   echo.join();
 }
 
-void BM_TransportPingPongLegacy(benchmark::State& state) {
-  legacy::Mailbox box0;
-  legacy::Mailbox box1;
-  std::thread echo([&] {
-    for (;;) {
-      Message m = box1.recv(1, 0, any_tag);
-      if (m.tag == 99) break;
-      box0.deliver(legacy::make_message(1, 2, std::move(m.payload)));
-    }
-  });
-  std::vector<std::uint8_t> payload(8, 0x5a);
-  for (int i = 0; i < 512; ++i) {
-    box1.deliver(legacy::make_message(0, 1, std::move(payload)));
-    payload = box0.recv(1, 1, 2).payload;
-  }
-  run_pingpong(state, [&] {
-    box1.deliver(legacy::make_message(0, 1, std::move(payload)));
-    payload = box0.recv(1, 1, 2).payload;
-  });
-  box1.deliver(legacy::make_message(0, 99, {}));
-  echo.join();
-}
-
 BENCHMARK_CAPTURE(BM_TransportPingPong, ring, TransportMode::ring)
     ->Iterations(kPingPongIters)
     ->UseRealTime();
 BENCHMARK_CAPTURE(BM_TransportPingPong, locked, TransportMode::locked)
     ->Iterations(kPingPongIters)
     ->UseRealTime();
-BENCHMARK(BM_TransportPingPongLegacy)->Iterations(kPingPongIters)->UseRealTime();
 
 // --- transport: the scheduler floor ------------------------------------------
 // Two threads bounce one atomic token with a yield loop — no transport at
@@ -366,39 +228,12 @@ void BM_TransportStream(benchmark::State& state, TransportMode mode) {
       static_cast<double>(a1 - a0) / static_cast<double>(msgs);
 }
 
-void BM_TransportStreamLegacy(benchmark::State& state) {
-  legacy::Mailbox box0;
-  legacy::Mailbox box1;
-  std::thread sink([&] {
-    for (;;) {
-      Message m = box1.recv(1, 0, any_tag);
-      if (m.tag == 99) break;
-      for (int i = 1; i < kStreamBatch; ++i) (void)box1.recv(1, 0, 1);
-      box0.deliver(legacy::make_message(1, 2, {}));
-    }
-  });
-  const std::uint64_t a0 = g_alloc_count.load();
-  for (auto _ : state) {
-    for (int i = 0; i < kStreamBatch; ++i)
-      box1.deliver(legacy::make_message(0, 1, {}));
-    (void)box0.recv(1, 1, 2);
-  }
-  const std::uint64_t a1 = g_alloc_count.load();
-  box1.deliver(legacy::make_message(0, 99, {}));
-  sink.join();
-  const auto msgs = state.iterations() * kStreamBatch;
-  state.SetItemsProcessed(msgs);
-  state.counters["allocs_per_msg"] =
-      static_cast<double>(a1 - a0) / static_cast<double>(msgs);
-}
-
 BENCHMARK_CAPTURE(BM_TransportStream, ring, TransportMode::ring)
     ->Iterations(40)
     ->UseRealTime();
 BENCHMARK_CAPTURE(BM_TransportStream, locked, TransportMode::locked)
     ->Iterations(40)
     ->UseRealTime();
-BENCHMARK(BM_TransportStreamLegacy)->Iterations(40)->UseRealTime();
 
 // --- macro benchmarks over Environment::run ----------------------------------
 

@@ -64,9 +64,10 @@ struct MarketCorrSeries {
 };
 
 // `warm_maronna` seeds each pair's Maronna fixed point from its previous
-// step's converged estimate (stats::WarmMaronna): typically 3×+ faster, and
-// accurate to the convergence tolerance rather than bit-for-bit — so it is
-// opt-in; the default reproduces the batch estimator exactly.
+// step's converged estimate (stats::WarmMaronna): fewer map evaluations
+// (about 1.5× faster at n = 61), and accurate to the convergence tolerance
+// rather than bit-for-bit — so it is opt-in; the default reproduces the
+// batch estimator exactly.
 MarketCorrSeries compute_market_corr_series(
     const std::vector<std::vector<double>>& bam, std::int64_t corr_window,
     bool need_maronna, const stats::MaronnaConfig& maronna_config = {},

@@ -41,7 +41,7 @@ struct ExperimentConfig {
   md::CleanerConfig cleaner{};
   stats::MaronnaConfig maronna{};
   // Warm-start each pair's Maronna estimate from the previous interval's
-  // converged fixed point (stats::WarmMaronna): ~3×+ faster correlation
+  // converged fixed point (stats::WarmMaronna): ~1.5× faster correlation
   // series at convergence-tolerance accuracy. Deterministic and independent
   // of the pair sharding, so serial and parallel runs still agree exactly.
   bool warm_maronna = true;

@@ -20,10 +20,13 @@ std::size_t warm_slots(const CorrEngineConfig& config, std::size_t symbols) {
   return symbols * (symbols - 1) / 2;
 }
 
-// The unwrap arena serves the Maronna/Combined per-pair kernels; pure
-// Pearson engines never read it.
+// The unwrap arena and the scale table serve the Maronna/Combined per-pair
+// kernels; pure Pearson engines never read them.
 std::size_t arena_size(const CorrEngineConfig& config, std::size_t symbols) {
   return config.type == Ctype::pearson ? 0 : symbols * config.window;
+}
+std::size_t scale_slots(const CorrEngineConfig& config, std::size_t symbols) {
+  return config.type == Ctype::pearson ? 0 : symbols;
 }
 
 // Round protocol (see ParallelCorrelationEngine). Leader -> replica on
@@ -44,6 +47,7 @@ CorrelationCalculator::CorrelationCalculator(const CorrEngineConfig& config,
       windows_(symbols, config.window, /*track_cross_sums=*/true),
       pairs_(tiled_pairs(symbols, kPairTile)),
       unwrap_(arena_size(config, symbols)),
+      scales_(scale_slots(config, symbols)),
       warm_(warm_slots(config, symbols), config.maronna) {}
 
 void CorrelationCalculator::push(const std::vector<double>& returns) {
@@ -54,13 +58,10 @@ void CorrelationCalculator::push(const std::vector<double>& returns) {
 void CorrelationCalculator::ensure_unwrapped() const {
   if (unwrap_step_ == windows_.steps() && unwrap_step_ > 0) return;
   windows_.unwrap_all(unwrap_.data());
-  if (config_.warm_start) {
-    // Per-symbol MAD-degeneracy flags, computed once per step so the warm
-    // estimator doesn't rescan the windows for every pair (n scans vs n²/2).
-    mad_zero_.resize(windows_.symbols());
-    for (std::size_t s = 0; s < windows_.symbols(); ++s)
-      mad_zero_[s] = mad_is_zero(window_view(s), windows_.window()) ? 1 : 0;
-  }
+  // Medians/MADs depend on one window each: n robust_scale calls per step
+  // instead of two per pair, n·(n−1) in all.
+  for (std::size_t s = 0; s < scales_.size(); ++s)
+    scales_[s] = robust_scale(window_view(s), windows_.window(), maronna_scratch_);
   unwrap_step_ = windows_.steps();
 }
 
@@ -69,11 +70,9 @@ double CorrelationCalculator::maronna_pair(std::size_t i, std::size_t j) const {
   const double* x = window_view(i);
   const double* y = window_view(j);
   const std::size_t m = windows_.window();
-  if (config_.warm_start) {
-    const bool degenerate = mad_zero_[i] != 0 || mad_zero_[j] != 0;
-    return warm_.estimate(pair_slot(symbols(), i, j), x, y, m, degenerate);
-  }
-  return maronna_estimate(x, y, m, config_.maronna, maronna_scratch_).correlation;
+  if (config_.warm_start)
+    return warm_.estimate(pair_slot(symbols(), i, j), x, y, m, scales_[i], scales_[j]);
+  return maronna_estimate(x, y, m, scales_[i], scales_[j], config_.maronna).correlation;
 }
 
 double CorrelationCalculator::pair(std::size_t i, std::size_t j) const {

@@ -89,8 +89,9 @@ class CorrelationCalculator {
   SymMatrix matrix() const;
 
  private:
-  // Unwrap every symbol's ring buffer into the contiguous arena, once per
-  // step, shared by all pair estimates of the step.
+  // Unwrap every symbol's ring buffer into the contiguous arena and fill
+  // the per-symbol robust-scale table, once per step, shared by all pair
+  // estimates of the step.
   void ensure_unwrapped() const;
   const double* window_view(std::size_t symbol) const {
     return unwrap_.data() + symbol * config_.window;
@@ -103,10 +104,13 @@ class CorrelationCalculator {
   // Step-scoped caches: the estimators are logically const — these only
   // memoize work derived from the current window state.
   mutable std::vector<double> unwrap_;  // [symbol * window], oldest -> newest
+  // robust_scale of each symbol's window: every cold Maronna start (and the
+  // warm path's degeneracy test) reads two entries instead of recomputing
+  // the medians/MADs per pair. 16 bytes per symbol.
+  mutable std::vector<RobustScale> scales_;
   mutable std::size_t unwrap_step_ = 0;  // windows_.steps() the arena reflects
-  mutable std::vector<unsigned char> mad_zero_;  // per-symbol, warm path only
   mutable WarmMaronna warm_;
-  mutable MaronnaScratch maronna_scratch_;  // cold-path median/MAD buffers
+  mutable MaronnaScratch maronna_scratch_;  // robust_scale buffers
 };
 
 // Pair-sharded parallel engine over the ranks of `comm`. Every rank

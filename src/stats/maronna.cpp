@@ -10,9 +10,8 @@
 namespace mm::stats {
 namespace {
 
-// Destructive median: permutes v[0..n) in place (nth_element), which is fine
-// for the scratch buffers this runs on — only the value multiset matters to
-// every later consumer (the MAD over deviations).
+// Destructive median: permutes v[0..n) in place (nth_element), so it runs on
+// scratch copies only.
 double median_inplace(double* v, std::size_t n) {
   const std::size_t mid = n / 2;
   std::nth_element(v, v + static_cast<std::ptrdiff_t>(mid), v + n);
@@ -20,16 +19,6 @@ double median_inplace(double* v, std::size_t n) {
   if (n % 2 == 1) return hi;
   const double lo = *std::max_element(v, v + static_cast<std::ptrdiff_t>(mid));
   return 0.5 * (lo + hi);
-}
-
-// Median absolute deviation scaled to be consistent for the normal, using
-// caller-provided deviation scratch — the matrix engines call this O(n²)
-// times per step, so a fresh vector per call was the dominant allocation.
-double mad(const double* v, std::size_t n, double center,
-           std::vector<double>& dev) {
-  dev.resize(n);
-  for (std::size_t i = 0; i < n; ++i) dev[i] = std::abs(v[i] - center);
-  return 1.4826 * median_inplace(dev.data(), n);
 }
 
 // The reweighting fixed point, shared verbatim by the cold and warm entry
@@ -202,42 +191,70 @@ bool usable_seed(const MaronnaResult& seed) {
   return seed.scatter_xx * seed.scatter_yy - seed.scatter_xy * seed.scatter_xy > 0.0;
 }
 
+// The warm iteration from a usable seed (see usable_seed).
+MaronnaResult warm_iterate(const double* x, const double* y, std::size_t n,
+                           const MaronnaResult& seed, const MaronnaConfig& config) {
+  MaronnaResult out;
+  out.location_x = seed.location_x;
+  out.location_y = seed.location_y;
+  out.scatter_xx = seed.scatter_xx;
+  out.scatter_xy = seed.scatter_xy;
+  out.scatter_yy = seed.scatter_yy;
+  out.contraction = seed.contraction;
+  // Floor-free map: callers must not warm-start MAD-degenerate windows (a
+  // zero RobustScale::mad), so this is the same map the cold start iterates
+  // there.
+  iterate_fixed_point(x, y, n, /*floor_x=*/0.0, /*floor_y=*/0.0, config,
+                      /*warm=*/true, out);
+  return out;
+}
+
 }  // namespace
 
+RobustScale robust_scale(const double* v, std::size_t n, MaronnaScratch& scratch) {
+  MM_ASSERT_MSG(n >= 1, "robust_scale needs n >= 1");
+  // nth_element permutes the copy; the deviations are taken from v itself.
+  scratch.values.assign(v, v + n);
+  RobustScale out;
+  out.median = median_inplace(scratch.values.data(), n);
+  scratch.dev.resize(n);
+  for (std::size_t i = 0; i < n; ++i) scratch.dev[i] = std::abs(v[i] - out.median);
+  out.mad = 1.4826 * median_inplace(scratch.dev.data(), n);
+  return out;
+}
+
 MaronnaResult maronna_estimate(const double* x, const double* y, std::size_t n,
-                               const MaronnaConfig& config,
-                               MaronnaScratch& scratch) {
+                               const RobustScale& scale_x,
+                               const RobustScale& scale_y,
+                               const MaronnaConfig& config) {
   MM_ASSERT_MSG(n >= 2, "maronna needs n >= 2");
   MaronnaResult out;
-
   // Robust initialization: coordinatewise medians and MADs, zero covariance.
-  // The copies live in the caller's scratch (nth_element permutes them), so
-  // steady-state matrix sweeps re-use capacity instead of allocating per
-  // pair.
-  scratch.xs.assign(x, x + n);
-  scratch.ys.assign(y, y + n);
-  const double mx = median_inplace(scratch.xs.data(), n);
-  const double my = median_inplace(scratch.ys.data(), n);
-  const double sx = mad(x, n, mx, scratch.dev);
-  const double sy = mad(y, n, my, scratch.dev);
+  out.location_x = scale_x.median;
+  out.location_y = scale_y.median;
+  const double sx = scale_x.mad;
+  const double sy = scale_y.mad;
 
   // Degenerate dispersion (e.g. a constant return window): fall back to a
   // tiny floor so the iteration is defined; if both are flat, report 0.
-  if (sx <= 0.0 && sy <= 0.0) {
-    out.location_x = mx;
-    out.location_y = my;
-    return out;
-  }
+  if (sx <= 0.0 && sy <= 0.0) return out;
   const double floor_x = sx > 0.0 ? 0.0 : 1e-12;
   const double floor_y = sy > 0.0 ? 0.0 : 1e-12;
 
-  out.location_x = mx;
-  out.location_y = my;
   out.scatter_xx = sx * sx + floor_x;
   out.scatter_yy = sy * sy + floor_y;
   out.scatter_xy = 0.0;
   iterate_fixed_point(x, y, n, floor_x, floor_y, config, /*warm=*/false, out);
   return out;
+}
+
+MaronnaResult maronna_estimate(const double* x, const double* y, std::size_t n,
+                               const MaronnaConfig& config,
+                               MaronnaScratch& scratch) {
+  MM_ASSERT_MSG(n >= 2, "maronna needs n >= 2");
+  const RobustScale scale_x = robust_scale(x, n, scratch);
+  const RobustScale scale_y = robust_scale(y, n, scratch);
+  return maronna_estimate(x, y, n, scale_x, scale_y, config);
 }
 
 MaronnaResult maronna_estimate(const double* x, const double* y, std::size_t n,
@@ -252,19 +269,7 @@ MaronnaResult maronna_reestimate(const double* x, const double* y, std::size_t n
                                  MaronnaScratch& scratch) {
   MM_ASSERT_MSG(n >= 2, "maronna needs n >= 2");
   if (!usable_seed(seed)) return maronna_estimate(x, y, n, config, scratch);
-
-  MaronnaResult out;
-  out.location_x = seed.location_x;
-  out.location_y = seed.location_y;
-  out.scatter_xx = seed.scatter_xx;
-  out.scatter_xy = seed.scatter_xy;
-  out.scatter_yy = seed.scatter_yy;
-  out.contraction = seed.contraction;
-  // Floor-free map: callers must not warm-start MAD-degenerate windows (see
-  // mad_is_zero), so this is the same map the cold start iterates there.
-  iterate_fixed_point(x, y, n, /*floor_x=*/0.0, /*floor_y=*/0.0, config,
-                      /*warm=*/true, out);
-  return out;
+  return warm_iterate(x, y, n, seed, config);
 }
 
 MaronnaResult maronna_reestimate(const double* x, const double* y, std::size_t n,
@@ -272,29 +277,6 @@ MaronnaResult maronna_reestimate(const double* x, const double* y, std::size_t n
                                  const MaronnaConfig& config) {
   MaronnaScratch scratch;
   return maronna_reestimate(x, y, n, seed, config, scratch);
-}
-
-bool mad_is_zero(const double* v, std::size_t n) {
-  // MAD(v) == 0  ⟺  strictly more than half of the values equal the median
-  // ⟺ a majority element exists. Boyer–Moore: find the only possible
-  // majority candidate, then count it.
-  double candidate = v[0];
-  std::size_t votes = 1;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (votes == 0) {
-      candidate = v[i];
-      votes = 1;
-    } else if (v[i] == candidate) {
-      ++votes;
-    } else {
-      --votes;
-    }
-  }
-  if (votes == 0) return false;
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    if (v[i] == candidate) ++count;
-  return count > n / 2;
 }
 
 WarmMaronna::WarmMaronna(std::size_t pairs, const MaronnaConfig& config,
@@ -309,40 +291,36 @@ WarmMaronna::WarmMaronna(std::size_t pairs, const MaronnaConfig& config,
 }
 
 double WarmMaronna::estimate(std::size_t slot, const double* x, const double* y,
-                             std::size_t n, bool degenerate) {
+                             std::size_t n, const RobustScale& scale_x,
+                             const RobustScale& scale_y) {
   MM_ASSERT(slot < state_.size());
   // Memoized: the same pair queried twice in one step must see one value.
   if (computed_step_[slot] == step_) return state_[slot].correlation;
 
   // MAD-degenerate windows engage the cold start's dispersion floors — a
   // different iteration map — so they always recompute cold and never seed.
-  // The caller supplies the flag (computed per symbol per step, see the
-  // header contract) instead of this class rescanning per pair.
+  const bool degenerate = scale_x.mad <= 0.0 || scale_y.mad <= 0.0;
   MaronnaResult res;
   if (!degenerate && seedable_[slot] &&
       step_ - cold_step_[slot] < restart_interval_) {
-    res = maronna_reestimate(x, y, n, state_[slot], config_, scratch_);
+    res = warm_iterate(x, y, n, state_[slot], config_);
     ++warm_calls_;
     if (!res.converged) {
       // Warm chain went stale (e.g. an abrupt regime change): restart cold so
       // the estimate cannot drift away from the batch answer.
-      res = maronna_estimate(x, y, n, config_, scratch_);
+      res = maronna_estimate(x, y, n, scale_x, scale_y, config_);
       cold_step_[slot] = step_;
       ++cold_calls_;
     }
   } else {
-    res = maronna_estimate(x, y, n, config_, scratch_);
+    res = maronna_estimate(x, y, n, scale_x, scale_y, config_);
     cold_step_[slot] = step_;
     ++cold_calls_;
   }
 
   state_[slot] = res;
   computed_step_[slot] = step_;
-  seedable_[slot] = !degenerate && res.converged && res.scatter_xx > 0.0 &&
-                    res.scatter_yy > 0.0 &&
-                    res.scatter_xx * res.scatter_yy -
-                            res.scatter_xy * res.scatter_xy >
-                        0.0;
+  seedable_[slot] = !degenerate && usable_seed(res);
   return res.correlation;
 }
 

@@ -10,8 +10,10 @@
 // Two entry points into the same fixed-point map:
 //
 //   * maronna_estimate   — cold start from coordinatewise medians/MADs. This
-//     is the batch estimator; the median/MAD initialization costs several
-//     nth_element passes per call.
+//     is the batch estimator. The median/MAD initialization (robust_scale,
+//     two nth_element passes per sample) depends on one sample only, so the
+//     engines compute it once per symbol per step and pass the two scales
+//     in; the scratch overload computes both itself.
 //   * maronna_reestimate — warm start from a previous converged estimate on
 //     an overlapping window (the sliding-window engines advance one return
 //     per step, so the previous fixed point is an excellent seed). Skips the
@@ -58,19 +60,36 @@ struct MaronnaResult {
   bool converged = false;
 };
 
-// Reusable scratch for the cold start's median/MAD initialization. The
-// matrix engines call the estimator O(n²) times per step; routing the copies
-// and the deviation buffer through one caller-owned scratch makes the sweep
-// allocation-free in steady state (capacity is grown once, then reused).
+// Reusable scratch for robust_scale. Routing the sample copy and the
+// deviation buffer through one caller-owned scratch makes repeated calls
+// allocation-free (capacity is grown once, then reused).
 struct MaronnaScratch {
-  std::vector<double> xs, ys;   // permutable copies for median_inplace
-  std::vector<double> dev;      // |x - median| buffer for the MAD
+  std::vector<double> values;  // permutable copy for the median
+  std::vector<double> dev;     // |v - median| buffer for the MAD
 };
 
+// One sample's cold-start initialization: its median and its MAD, scaled by
+// 1.4826 to be consistent for the normal. 16 bytes; the engines keep one per
+// symbol per step. mad <= 0 (a strict majority of the values coincide)
+// makes the cold start engage its dispersion floors.
+struct RobustScale {
+  double median = 0.0;
+  double mad = 0.0;
+};
+
+// n must be >= 1. Allocation-free once the scratch capacity has grown to n.
+RobustScale robust_scale(const double* v, std::size_t n, MaronnaScratch& scratch);
+
 // Full estimator output. n must be >= 2; degenerate inputs (zero dispersion)
-// yield correlation 0. The scratch-taking overload is allocation-free once
-// the scratch capacity has grown to n; the convenience overload allocates a
-// local scratch per call.
+// yield correlation 0. The scale-taking form starts from the given
+// robust_scale of x and of y and runs the floors and fixed point; the
+// scratch form is two robust_scale calls plus that, allocation-free once
+// the scratch capacity has grown to n; the convenience form allocates a
+// local scratch per call. All three agree bit for bit.
+MaronnaResult maronna_estimate(const double* x, const double* y, std::size_t n,
+                               const RobustScale& scale_x,
+                               const RobustScale& scale_y,
+                               const MaronnaConfig& config = {});
 MaronnaResult maronna_estimate(const double* x, const double* y, std::size_t n,
                                const MaronnaConfig& config,
                                MaronnaScratch& scratch);
@@ -92,12 +111,6 @@ MaronnaResult maronna_reestimate(const double* x, const double* y, std::size_t n
                                  const MaronnaResult& seed,
                                  const MaronnaConfig& config = {});
 
-// True when the sample's MAD is exactly zero (a majority of values coincide).
-// Such windows make the cold start engage its dispersion floors, a different
-// iteration map than the floor-free warm path — warm starts must not be used
-// there. One Boyer–Moore majority pass, O(n), no allocation.
-bool mad_is_zero(const double* v, std::size_t n);
-
 // Default cold-restart cadence for warm-started engines: every this many
 // steps each pair re-seeds from medians/MADs, bounding any drift a long warm
 // chain could accumulate.
@@ -117,14 +130,14 @@ class WarmMaronna {
   void advance() { ++step_; }
 
   // Robust correlation of the pair occupying `slot`, over the window views
-  // x[0..n) / y[0..n). `degenerate` must be `mad_is_zero(x) || mad_is_zero(y)`
-  // (or a conservative true): the engines compute the per-symbol majority
-  // scan once per step instead of once per pair, so this class trusts the
-  // flag rather than rescanning. A wrong `false` on a MAD-degenerate window
-  // would let a warm chain iterate a different (floor-free) map than the
-  // batch estimator's and void the accuracy contract.
+  // x[0..n) / y[0..n). `scale_x` / `scale_y` must be robust_scale of the
+  // two views: the engines compute them once per symbol per step, and this
+  // class trusts them rather than rescanning. Cold starts run from them,
+  // and a MAD of zero on either side — the cold start's floored map, which
+  // the floor-free warm path must not iterate — forces a cold start.
   double estimate(std::size_t slot, const double* x, const double* y,
-                  std::size_t n, bool degenerate = false);
+                  std::size_t n, const RobustScale& scale_x,
+                  const RobustScale& scale_y);
 
   // Diagnostics: how many estimates since construction ran warm vs cold.
   std::uint64_t warm_calls() const { return warm_calls_; }
@@ -138,7 +151,6 @@ class WarmMaronna {
   std::vector<std::int64_t> cold_step_;      // step of the last cold start
   std::vector<std::int64_t> computed_step_;  // memo: step of the cached value
   std::vector<std::uint8_t> seedable_;
-  MaronnaScratch scratch_;  // cold-start median/MAD buffers, reused per pair
   std::uint64_t warm_calls_ = 0;
   std::uint64_t cold_calls_ = 0;
 };

@@ -1,7 +1,10 @@
 // Tests for the serial and parallel market-wide correlation engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 
 #include "common/rng.hpp"
 #include "mpmini/collectives.hpp"
@@ -95,6 +98,50 @@ TEST(CorrelationCalculator, PsdRepairProducesPsdMaronnaMatrix) {
   CorrelationCalculator calc(cfg, 8);
   for (const auto& r : make_stream(8, 40, 5)) calc.push(r);
   EXPECT_TRUE(is_psd(calc.matrix(), 1e-7));
+}
+
+TEST(CorrelationCalculator, ColdMaronnaVectorsMatchPerPairEstimatorBitwise) {
+  // Past one 64-symbol tile, with two constant-return symbols (MAD zero: one
+  // floored cold start per pair with a live symbol, correlation 0 for the
+  // pair of them), the per-symbol scale table must reproduce the per-pair
+  // estimator bit for bit at every step.
+  constexpr std::size_t n = 70;
+  constexpr std::size_t window = 24;
+  constexpr std::size_t flat_a = 5;
+  constexpr std::size_t flat_b = 66;
+  CorrEngineConfig cfg;
+  cfg.type = Ctype::maronna;
+  cfg.window = window;
+  CorrelationCalculator calc(cfg, n);
+  auto stream = make_stream(n, window + 12, 6);
+  for (auto& r : stream) r[flat_a] = r[flat_b] = 0.0;
+
+  std::vector<std::vector<double>> history(n);
+  std::vector<double> x(window), y(window);
+  CorrVectors vectors;
+  std::size_t steps = 0;
+  for (const auto& r : stream) {
+    calc.push(r);
+    for (std::size_t i = 0; i < n; ++i) history[i].push_back(r[i]);
+    if (!calc.ready()) continue;
+    calc.vectors_into(vectors);
+    ASSERT_EQ(vectors.maronna.size(), n * (n - 1) / 2);
+    const std::size_t lo = history[0].size() - window;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::copy(history[i].begin() + lo, history[i].end(), x.begin());
+      for (std::size_t j = i + 1; j < n; ++j) {
+        std::copy(history[j].begin() + lo, history[j].end(), y.begin());
+        const double expected =
+            maronna_estimate(x.data(), y.data(), window, cfg.maronna).correlation;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(vectors.maronna[pair_slot(n, i, j)]),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "pair (" << i << "," << j << ") at ready step " << steps;
+      }
+    }
+    ++steps;
+  }
+  EXPECT_EQ(steps, 13u);
+  EXPECT_EQ(vectors.maronna[pair_slot(n, flat_a, flat_b)], 0.0);
 }
 
 // Every step's canonical vectors from a serial calculator (empty until the

@@ -121,12 +121,16 @@ TEST(WarmMaronna, WarmPathActuallyRunsWarm) {
   WarmMaronna warm(1, MaronnaConfig{});
   ReturnWindows windows(2, window, false);
   std::vector<double> arena(2 * window);
+  MaronnaScratch scratch;
   for (const auto& r : stream) {
     windows.push(r);
     warm.advance();
     if (!windows.ready()) continue;
     windows.unwrap_all(arena.data());
-    warm.estimate(0, arena.data(), arena.data() + window, window);
+    const double* x = arena.data();
+    const double* y = arena.data() + window;
+    warm.estimate(0, x, y, window, robust_scale(x, window, scratch),
+                  robust_scale(y, window, scratch));
   }
   EXPECT_GT(warm.warm_calls(), 4 * warm.cold_calls());
   EXPECT_GE(warm.cold_calls(), 1u);  // at least the initial seed + cadence
@@ -153,19 +157,19 @@ TEST(WarmMaronna, ReestimateFallsBackOnBadSeed) {
 }
 
 TEST(MadIsZero, MatchesMedianDefinition) {
-  // mad_is_zero must agree with "a strict majority of values coincide".
-  std::vector<double> v = {1.0, 1.0, 1.0, 2.0, 3.0};
-  EXPECT_TRUE(mad_is_zero(v.data(), v.size()));
-  v = {1.0, 1.0, 2.0, 2.0, 3.0};
-  EXPECT_FALSE(mad_is_zero(v.data(), v.size()));
-  v = {4.0, 4.0, 4.0, 4.0};
-  EXPECT_TRUE(mad_is_zero(v.data(), v.size()));
-  v = {1.0, 2.0};
-  EXPECT_FALSE(mad_is_zero(v.data(), v.size()));
+  // A zero MAD — the warm path's degeneracy test — must agree with "a strict
+  // majority of values coincide".
+  MaronnaScratch scratch;
+  const auto mad_is_zero = [&](const std::vector<double>& v) {
+    return robust_scale(v.data(), v.size(), scratch).mad == 0.0;
+  };
+  EXPECT_TRUE(mad_is_zero({1.0, 1.0, 1.0, 2.0, 3.0}));
+  EXPECT_FALSE(mad_is_zero({1.0, 1.0, 2.0, 2.0, 3.0}));
+  EXPECT_TRUE(mad_is_zero({4.0, 4.0, 4.0, 4.0}));
+  EXPECT_FALSE(mad_is_zero({1.0, 2.0}));
   // Exactly half is not a majority (even n: the upper middle deviation is
   // nonzero, so the MAD is nonzero).
-  v = {5.0, 5.0, 1.0, 2.0};
-  EXPECT_FALSE(mad_is_zero(v.data(), v.size()));
+  EXPECT_FALSE(mad_is_zero({5.0, 5.0, 1.0, 2.0}));
 }
 
 TEST(PearsonMatrix, EqualsElementwisePearsonExactly) {

@@ -3,7 +3,11 @@
 // outliers that destroy Pearson.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
+#include "common/strings.hpp"
 #include "stats/maronna.hpp"
 #include "stats/pearson.hpp"
 
@@ -141,8 +145,7 @@ TEST(Maronna, ScratchOverloadMatchesConvenienceBitwise) {
   // buffers; it must agree with the allocating convenience form bit-for-bit,
   // including when the scratch arrives oversized from a previous larger pair.
   MaronnaScratch scratch;
-  scratch.xs.resize(4096);
-  scratch.ys.resize(4096);
+  scratch.values.resize(4096);
   scratch.dev.resize(4096);
   for (std::uint64_t seed : {11ULL, 12ULL, 13ULL}) {
     const auto p = make_correlated(100, 1.2, seed);
@@ -163,6 +166,93 @@ TEST(Maronna, ScratchOverloadMatchesConvenienceBitwise) {
     EXPECT_EQ(c.correlation, d.correlation) << "seed " << seed;
     EXPECT_EQ(c.iterations, d.iterations);
   }
+}
+
+// Every MaronnaResult field in hex-float: equal strings mean equal bits.
+std::string fields(const MaronnaResult& r) {
+  return format("corr=%a loc=(%a,%a) scatter=(%a,%a,%a) q=%a it=%d converged=%d",
+                r.correlation, r.location_x, r.location_y, r.scatter_xx,
+                r.scatter_xy, r.scatter_yy, r.contraction, r.iterations,
+                r.converged ? 1 : 0);
+}
+
+// Windows covering each branch of the cold start: random odd and even n, a
+// heavy outlier, x with a strict-majority value (MAD zero, one floor
+// engaged) and both samples with one (both MADs zero, correlation 0).
+std::vector<CleanPair> cold_start_cases() {
+  std::vector<CleanPair> cases;
+  cases.push_back(make_correlated(61, 1.2, 5));
+  auto outlier = make_correlated(100, 1.2, 6);
+  outlier.x[7] = 40.0;
+  cases.push_back(outlier);
+  auto one_flat = make_correlated(41, 1.0, 7);
+  for (std::size_t i = 0; i < 21; ++i) one_flat.x[2 * i] = 0.25;
+  cases.push_back(one_flat);
+  auto both_flat = one_flat;
+  for (std::size_t i = 0; i < 21; ++i) both_flat.y[2 * i] = -0.5;
+  cases.push_back(both_flat);
+  return cases;
+}
+
+TEST(RobustScale, MedianAndMadOfKnownSamples) {
+  MaronnaScratch scratch;
+  std::vector<double> v = {3.0, 1.0, 2.0};
+  auto s = robust_scale(v.data(), v.size(), scratch);
+  EXPECT_EQ(s.median, 2.0);
+  EXPECT_EQ(s.mad, 1.4826);
+  v = {4.0, 1.0, 3.0, 2.0};  // even n: midpoint of the two middle values
+  s = robust_scale(v.data(), v.size(), scratch);
+  EXPECT_EQ(s.median, 2.5);
+  EXPECT_EQ(s.mad, 1.4826);
+  // robust_scale permutes only its scratch copy.
+  EXPECT_EQ(v, (std::vector<double>{4.0, 1.0, 3.0, 2.0}));
+}
+
+TEST(RobustScale, ScaleFormMatchesScratchFormBitwise) {
+  // The scale-taking estimator is the scratch form minus its two
+  // robust_scale calls; on every field they must agree bit for bit. One
+  // scratch serves every sample here, shrinking and growing across lengths.
+  auto cases = cold_start_cases();
+  for (std::size_t n : {40u, 99u, 2u, 64u}) cases.push_back(make_correlated(n, 0.8, n));
+  MaronnaScratch shared;
+  for (const auto& c : cases) {
+    const std::size_t n = c.x.size();
+    const auto sx = robust_scale(c.x.data(), n, shared);
+    const auto sy = robust_scale(c.y.data(), n, shared);
+    const auto from_scales = maronna_estimate(c.x.data(), c.y.data(), n, sx, sy);
+    MaronnaScratch own;
+    EXPECT_EQ(fields(from_scales),
+              fields(maronna_estimate(c.x.data(), c.y.data(), n, {}, own)))
+        << "n = " << n;
+    EXPECT_EQ(fields(from_scales),
+              fields(maronna_estimate(c.x.data(), c.y.data(), n)))
+        << "n = " << n;
+  }
+}
+
+TEST(Maronna, ColdStartMatchesPinnedReferenceBitwise) {
+  // Recorded from the estimator as it stood before the cold start was split
+  // into robust_scale + the scale-taking form; the split must not move a bit.
+  const char* expected[] = {
+      "corr=0x1.0fbec6990df35p-1 loc=(-0x1.236d0c607a5adp-5,-0x1.36a87b8cb7d7bp-4) "
+      "scatter=(0x1.3107a748063b6p+1,0x1.03b798bebac9dp+0,0x1.88813e748ba18p+0) "
+      "q=0x1.4a3ff77919f46p-2 it=12 converged=1",
+      "corr=0x1.f877137fa9f04p-2 loc=(0x1.e07dcda5190b9p-7,-0x1.452425e1aa139p-3) "
+      "scatter=(0x1.06e3b18dc02a4p+1,0x1.eb4f5e7c2421fp-1,0x1.d8eafb6fb6e71p+0) "
+      "q=0x1.30bea4a9250dbp-3 it=9 converged=1",
+      "corr=-0x1.f57e215472fafp-5 loc=(0x1.0be1f978c4041p-2,-0x1.2473fcab2b003p-3) "
+      "scatter=(0x1.7308a421bd6b2p-2,-0x1.9bcc77f16603ep-5,0x1.dc652144286p+0) "
+      "q=0x1.0e0bc883270ffp-1 it=44 converged=1",
+      "corr=0x0p+0 loc=(0x1p-2,-0x1p-1) scatter=(0x0p+0,0x0p+0,0x0p+0) "
+      "q=-0x1p+0 it=0 converged=0",
+  };
+  const auto cases = cold_start_cases();
+  ASSERT_EQ(cases.size(), std::size(expected));
+  for (std::size_t k = 0; k < cases.size(); ++k)
+    EXPECT_EQ(fields(maronna_estimate(cases[k].x.data(), cases[k].y.data(),
+                                      cases[k].x.size())),
+              expected[k])
+        << "case " << k;
 }
 
 }  // namespace

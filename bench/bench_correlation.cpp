@@ -11,7 +11,6 @@
 #include "marketdata/symbols.hpp"
 #include "mpmini/environment.hpp"
 #include "stats/corr_engine.hpp"
-#include "stats/ewma.hpp"
 #include "stats/psd.hpp"
 #include "stats/rank_corr.hpp"
 #include "stats/simd.hpp"
@@ -101,20 +100,6 @@ void BM_KendallTau(benchmark::State& state) {
 }
 BENCHMARK(BM_KendallTau)->Arg(50)->Arg(100)->Arg(200);
 
-void BM_EwmaCorrelationPush(benchmark::State& state) {
-  EwmaCorrelation ewma(0.99);
-  mm::Rng rng(10);
-  for (int i = 0; i < 200; ++i) ewma.push(rng.normal(), rng.normal());
-  double x = 0.3, y = -0.2;
-  for (auto _ : state) {
-    ewma.push(x, y);
-    benchmark::DoNotOptimize(ewma.correlation());
-    std::swap(x, y);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_EwmaCorrelationPush);
-
 void BM_MatrixStepPearson(benchmark::State& state) {
   // Full market-wide matrix per interval, incremental Pearson: the engine's
   // steady-state cost as the universe grows.
@@ -153,49 +138,25 @@ void BM_MatrixStepMaronna(benchmark::State& state) {
 }
 BENCHMARK(BM_MatrixStepMaronna)->Arg(10)->Arg(20);
 
-// Cold vs warm full-matrix Maronna step at the paper's full scale
-// (n up to 61 symbols, M = 120): the warm-start headline numbers for
-// BENCH_corr.json. Both variants use the same MaronnaConfig so the only
-// difference is the fixed-point seeding; `accuracy` reports the maximum
-// absolute warm-vs-cold matrix entry difference seen while timing.
-void matrix_step_maronna_seeded(benchmark::State& state, bool warm_start) {
+// Full-matrix Maronna step at the paper's full scale (n up to 61 symbols,
+// M = 120): the headline Maronna numbers for BENCH_corr.json.
+void BM_MatrixStepMaronnaCold(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   CorrEngineConfig cfg;
   cfg.type = Ctype::maronna;
   cfg.window = 120;
-  cfg.warm_start = warm_start;
-  CorrEngineConfig other_cfg = cfg;
-  other_cfg.warm_start = !warm_start;
   CorrelationCalculator calc(cfg, n);
-  CorrelationCalculator other(other_cfg, n);
   const auto stream = factor_stream(n, 200, 5);
   for (const auto& r : stream) calc.push(r);
-  for (const auto& r : stream) other.push(r);
-  double max_diff = 0.0;
   std::size_t next = 0;
   for (auto _ : state) {
     calc.push(stream[next]);
-    const auto m = calc.matrix();
-    benchmark::DoNotOptimize(m);
-    state.PauseTiming();
-    other.push(stream[next]);
-    max_diff = std::max(max_diff, SymMatrix::max_abs_diff(m, other.matrix()));
+    benchmark::DoNotOptimize(calc.matrix());
     next = (next + 1) % stream.size();
-    state.ResumeTiming();
   }
-  state.counters["accuracy"] = max_diff;
   state.SetItemsProcessed(state.iterations() * (n * (n - 1) / 2));
 }
-
-void BM_MatrixStepMaronnaCold(benchmark::State& state) {
-  matrix_step_maronna_seeded(state, /*warm_start=*/false);
-}
 BENCHMARK(BM_MatrixStepMaronnaCold)->Arg(20)->Arg(61)->Unit(benchmark::kMillisecond);
-
-void BM_MatrixStepMaronnaWarm(benchmark::State& state) {
-  matrix_step_maronna_seeded(state, /*warm_start=*/true);
-}
-BENCHMARK(BM_MatrixStepMaronnaWarm)->Arg(20)->Arg(61)->Unit(benchmark::kMillisecond);
 
 // --- universe-scale scaling curve -------------------------------------------
 //
@@ -220,7 +181,6 @@ void matrix_step_scaling(benchmark::State& state, Ctype type,
   CorrEngineConfig cfg;
   cfg.type = type;
   cfg.window = 100;
-  cfg.warm_start = type != Ctype::pearson;
   CorrelationCalculator calc(cfg, n);
   std::vector<double> returns;
   for (std::size_t t = 0; t <= cfg.window; ++t) {
@@ -228,7 +188,7 @@ void matrix_step_scaling(benchmark::State& state, Ctype type,
     calc.push(returns);
   }
   SymMatrix out;
-  calc.matrix_into(out);  // size buffers + cold-start warm state off the clock
+  calc.matrix_into(out);  // size buffers off the clock
 
   for (auto _ : state) {
     stream.next(returns);
@@ -253,23 +213,23 @@ void BM_MatrixScalingPearsonAvx2(benchmark::State& state) {
 BENCHMARK(BM_MatrixScalingPearsonAvx2)
     ->Arg(61)->Arg(250)->Arg(1000)->Arg(2000)->Unit(benchmark::kMillisecond);
 
-// Warm Maronna is O(n²·M) per step; the big universes pin the iteration
-// count so one bench run stays in seconds, which is ample for a kernel whose
-// per-step cost dwarfs timer noise.
-void BM_MatrixScalingMaronnaWarmScalar(benchmark::State& state) {
+// Maronna is O(n²·M) per step; the big universes pin the iteration count so
+// one bench run stays in seconds, which is ample for a kernel whose per-step
+// cost dwarfs timer noise.
+void BM_MatrixScalingMaronnaScalar(benchmark::State& state) {
   matrix_step_scaling(state, Ctype::maronna, mm::stats::simd::Level::scalar);
 }
-BENCHMARK(BM_MatrixScalingMaronnaWarmScalar)
+BENCHMARK(BM_MatrixScalingMaronnaScalar)
     ->Arg(61)->Arg(250)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatrixScalingMaronnaWarmScalar)
+BENCHMARK(BM_MatrixScalingMaronnaScalar)
     ->Arg(1000)->Arg(2000)->Iterations(2)->Unit(benchmark::kMillisecond);
 
-void BM_MatrixScalingMaronnaWarmAvx2(benchmark::State& state) {
+void BM_MatrixScalingMaronnaAvx2(benchmark::State& state) {
   matrix_step_scaling(state, Ctype::maronna, mm::stats::simd::Level::avx2);
 }
-BENCHMARK(BM_MatrixScalingMaronnaWarmAvx2)
+BENCHMARK(BM_MatrixScalingMaronnaAvx2)
     ->Arg(61)->Arg(250)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatrixScalingMaronnaWarmAvx2)
+BENCHMARK(BM_MatrixScalingMaronnaAvx2)
     ->Arg(1000)->Arg(2000)->Iterations(2)->Unit(benchmark::kMillisecond);
 
 void BM_ParallelEngineRanks(benchmark::State& state) {

@@ -28,9 +28,10 @@ int main(int argc, char** argv) {
       {Measure::win_loss, "Table V — average win-loss ratio", false, false},
   };
   for (const auto& t : tables) {
-    std::printf("%s\n%s\n%s\n", t.title,
+    std::printf("%s\n%s\n%s%s\n", t.title,
                 mm::core::render_table(result, t.measure, t.sharpe, t.percent).c_str(),
-                mm::core::paper_reference(t.measure).c_str());
+                mm::core::paper_reference(t.measure).c_str(),
+                mm::core::render_verdicts(result, t.measure).c_str());
   }
 
   const struct {

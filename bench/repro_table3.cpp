@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
                                              /*include_sharpe=*/true,
                                              /*as_percent=*/false)
                           .c_str());
-  std::printf("%s\n", mm::core::paper_reference(Measure::monthly_return).c_str());
+  std::printf("%s%s\n", mm::core::paper_reference(Measure::monthly_return).c_str(),
+              mm::core::render_verdicts(result, Measure::monthly_return).c_str());
   return 0;
 }

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
                                              /*include_sharpe=*/false,
                                              /*as_percent=*/true)
                           .c_str());
-  std::printf("%s\n", mm::core::paper_reference(Measure::max_daily_drawdown).c_str());
+  std::printf("%s%s\n", mm::core::paper_reference(Measure::max_daily_drawdown).c_str(),
+              mm::core::render_verdicts(result, Measure::max_daily_drawdown).c_str());
   return 0;
 }

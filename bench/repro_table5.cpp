@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
                                              /*include_sharpe=*/false,
                                              /*as_percent=*/false)
                           .c_str());
-  std::printf("%s\n", mm::core::paper_reference(Measure::win_loss).c_str());
+  std::printf("%s%s\n", mm::core::paper_reference(Measure::win_loss).c_str(),
+              mm::core::render_verdicts(result, Measure::win_loss).c_str());
   return 0;
 }

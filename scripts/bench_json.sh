@@ -6,7 +6,7 @@
 #                              BM_ParallelEngineRanks (it re-launches a thread
 #                              fleet per iteration and measures coordination).
 #                              Includes the universe-scaling entries
-#                              (BM_MatrixScaling*: full-matrix Pearson and warm
+#                              (BM_MatrixScaling*: full-matrix Pearson and
 #                              Maronna at n = 61/250/1000/2000, scalar vs AVX2
 #                              kernel level) — the big universes run a fixed
 #                              two iterations, so expect a couple of minutes.

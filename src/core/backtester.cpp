@@ -51,17 +51,15 @@ double MarketCorrSeries::at(stats::Ctype ctype, std::size_t pair_index,
 
 MarketCorrSeries compute_market_corr_series(const std::vector<std::vector<double>>& bam,
                                             std::int64_t corr_window, bool need_maronna,
-                                            const stats::MaronnaConfig& maronna_config,
-                                            bool warm_maronna) {
+                                            const stats::MaronnaConfig& maronna_config) {
   return compute_market_corr_series(bam, corr_window, need_maronna, maronna_config,
-                                    stats::all_pairs(bam.size()), warm_maronna);
+                                    stats::all_pairs(bam.size()));
 }
 
 MarketCorrSeries compute_market_corr_series(const std::vector<std::vector<double>>& bam,
                                             std::int64_t corr_window, bool need_maronna,
                                             const stats::MaronnaConfig& maronna_config,
-                                            const std::vector<stats::PairIndex>& pairs,
-                                            bool warm_maronna) {
+                                            const std::vector<stats::PairIndex>& pairs) {
   const std::size_t n = bam.size();
   MM_ASSERT_MSG(n >= 2, "need at least two symbols");
   const auto smax = static_cast<std::int64_t>(bam[0].size());
@@ -90,7 +88,6 @@ MarketCorrSeries compute_market_corr_series(const std::vector<std::vector<double
   config.type = need_maronna ? stats::Ctype::maronna : stats::Ctype::pearson;
   config.window = static_cast<std::size_t>(corr_window);
   config.maronna = maronna_config;
-  config.warm_start = warm_maronna;
   stats::CorrelationCalculator calc(config, n);
   std::vector<double> step_returns(n);
   std::vector<double> pearson(pairs.size());

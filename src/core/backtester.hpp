@@ -15,7 +15,11 @@
 //     parameter set that shares (∆s, M) reuses them. This is the
 //     amortization that makes the brute-force parameter sweep feasible.
 //
-// run_pair_day() then drives the PairStrategy state machine over the series.
+// run_pair_day() then drives one pair's PairStrategy state machine over the
+// series. The §V sweep (core/experiment.hpp) and the pipeline's strategy
+// stage stream the same calculator into a core::PairBook per strategy
+// instead; these per-pair functions are the direct backtest their tests are
+// held to bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -63,24 +67,19 @@ struct MarketCorrSeries {
   double at(stats::Ctype ctype, std::size_t pair_index, std::int64_t s) const;
 };
 
-// `warm_maronna` seeds each pair's Maronna fixed point from its previous
-// step's converged estimate (stats::WarmMaronna): fewer map evaluations
-// (about 1.5× faster at n = 61), and accurate to the convergence tolerance
-// rather than bit-for-bit — so it is opt-in; the default reproduces the
-// batch estimator exactly.
 MarketCorrSeries compute_market_corr_series(
     const std::vector<std::vector<double>>& bam, std::int64_t corr_window,
-    bool need_maronna, const stats::MaronnaConfig& maronna_config = {},
-    bool warm_maronna = false);
+    bool need_maronna, const stats::MaronnaConfig& maronna_config = {});
 
 // Shard variant: series only for `pairs` (any subset, output in that order).
 // The incremental window state is market-wide either way; only the per-pair
-// estimation is restricted (CorrelationCalculator::estimate). Warm-start
-// state is per pair, so shard outputs are independent of the sharding.
+// estimation is restricted (CorrelationCalculator::estimate), and every
+// estimate depends only on its pair's windows, so shard outputs are
+// independent of the sharding.
 MarketCorrSeries compute_market_corr_series(
     const std::vector<std::vector<double>>& bam, std::int64_t corr_window,
     bool need_maronna, const stats::MaronnaConfig& maronna_config,
-    const std::vector<stats::PairIndex>& pairs, bool warm_maronna = false);
+    const std::vector<stats::PairIndex>& pairs);
 
 // Drive one pair's strategy across one day. `corr(s)` is looked up in the
 // series; intervals before first_valid step the machine with corr_valid =

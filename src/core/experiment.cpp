@@ -1,269 +1,243 @@
 #include "core/experiment.hpp"
 
-#include <algorithm>
-#include <map>
+#include <cstdint>
+#include <vector>
 
 #include "common/timer.hpp"
 #include "core/metrics.hpp"
+#include "core/pair_book.hpp"
 #include "marketdata/bars.hpp"
-#include "mpmini/collectives.hpp"
 #include "mpmini/environment.hpp"
 #include "mpmini/serde.hpp"
+#include "stats/corr_engine.hpp"
 
 namespace mm::core {
 namespace {
 
 constexpr std::size_t n_ctypes = 3;
 
-// Running state for one (ctype, level, shard-pair): the paper accumulates a
-// daily cumulative return per day plus win/loss counts across the month.
-struct CellAccum {
-  std::vector<double> daily_returns;
+// One (ctype, level, pair) cell of one day: the product of (1 + r) over the
+// pair's trades in closing order (cumulative_return's arithmetic, minus its
+// final −1) and their win/loss counts.
+struct DayCell {
+  double wealth = 1.0;
   WinLoss wl;
 };
 
-// Per-pair final measures for one treatment.
-struct PairMeasures {
-  double monthly_return_plus1 = 1.0;
-  double max_daily_drawdown = 0.0;
-  double win_loss = 0.0;
+// One trading day of the sweep. cells[(ctype * levels + level) * pairs + pair],
+// pairs in canonical all_pairs order.
+struct DayOutput {
+  std::int32_t day = 0;
+  std::vector<DayCell> cells;
+  std::uint64_t trades = 0;
+  std::uint64_t quotes_processed = 0;
+  std::uint64_t quotes_dropped = 0;
 };
 
-struct ShardOutput {
-  std::vector<stats::PairIndex> pairs;  // shard, canonical order
-  std::size_t n_levels = 0;
-  // [ctype][local pair] — averaged over levels (the paper's aggregation).
-  std::array<std::vector<PairMeasures>, n_ctypes> measures;
-  // [(ctype * n_levels) + level][local pair] — kept when level detail is on.
-  std::vector<std::vector<PairMeasures>> by_level;
-  std::uint64_t total_trades = 0;
-  std::size_t quotes_processed = 0;
-  std::size_t quotes_dropped = 0;
+// One strategy of the grid over every pair, and its first cell.
+struct SweepBook {
+  std::size_t ctype;
+  std::size_t first_cell;
+  PairBook book;
 };
 
-// Run the whole experiment for one shard of pairs. Deterministic in
-// (config, shard) — every rank regenerates identical market data.
-ShardOutput run_shard(const ExperimentConfig& config,
-                      const std::vector<stats::PairIndex>& shard) {
-  const md::Universe universe = md::make_universe(config.symbols);
-  const auto days = md::business_days(config.first_day, config.days);
-  const auto levels = config.grid.levels();
-  const auto windows = config.grid.distinct_corr_windows();
+// Generate, clean and sample day `day_index`, then replay every (level,
+// Ctype) over every pair the way the pipeline's strategy stage does: for
+// each distinct M one Maronna-type CorrelationCalculator streams its
+// canonical vectors into one PairBook per strategy with that M (Combined is
+// stats::combine on read), and each closed trade lands in its pair's cell.
+// Deterministic in (config, day_index).
+DayOutput run_day(const ExperimentConfig& config, const md::Universe& universe,
+                  int day_index) {
+  const auto& levels = config.grid.levels();
+  const std::size_t n_levels = levels.size();
+  const std::size_t n = config.symbols;
+  const auto pairs = stats::all_pairs(n);
 
   // All grid levels share ∆s (Table I evaluates one ∆s = 30 s); assert so a
   // future grid change cannot silently sample at the wrong granularity.
   const std::int64_t delta_s = levels.front().delta_s;
   for (const auto& level : levels) MM_ASSERT(level.delta_s == delta_s);
 
-  ShardOutput out;
-  out.pairs = shard;
+  const md::SyntheticDay day(universe, config.generator,
+                             config.first_day_index + day_index);
+  md::QuoteCleaner cleaner(n, config.cleaner);
+  const auto cleaned = cleaner.clean(day.quotes());
+  const auto bam =
+      md::sample_bam_series(cleaned, n, config.generator.session, delta_s);
+  const auto smax = static_cast<std::int64_t>(bam[0].size());
+  std::vector<std::vector<double>> returns(n);
+  for (std::size_t i = 0; i < n; ++i) returns[i] = md::log_returns(bam[i]);
 
-  // accum[(ctype * L + level) * shard + local_pair]
-  const std::size_t n_levels = levels.size();
-  std::vector<CellAccum> accum(n_ctypes * n_levels * shard.size());
-  const auto cell = [&](std::size_t c, std::size_t l, std::size_t p) -> CellAccum& {
-    return accum[(c * n_levels + l) * shard.size() + p];
+  DayOutput out;
+  out.day = day_index;
+  out.quotes_processed = day.quotes().size();
+  out.quotes_dropped = day.quotes().size() - cleaned.size();
+  out.cells.resize(n_ctypes * n_levels * pairs.size());
+
+  std::vector<double> prices(n), step_returns(n), combined(pairs.size());
+  stats::CorrVectors corr;
+  const auto collect = [&](SweepBook& b) {
+    for (const auto& event : b.book.events()) {
+      if (event.trade == PairBook::kOpened) continue;
+      const double r = b.book.trades()[event.trade].trade_return;
+      MM_ASSERT_MSG(r > -1.0, "a return of -100% or worse breaks compounding");
+      DayCell& cell = out.cells[b.first_cell + event.pair];
+      cell.wealth *= 1.0 + r;
+      cell.wl.add(r);
+      ++out.trades;
+    }
+    b.book.clear_trades();
   };
 
-  for (int day_index = 0; day_index < config.days; ++day_index) {
-    md::GeneratorConfig gen = config.generator;
-    const md::SyntheticDay day(universe, gen, config.first_day_index + day_index);
+  for (const std::int64_t m : config.grid.distinct_corr_windows()) {
+    stats::CorrEngineConfig corr_config;
+    corr_config.type = stats::Ctype::maronna;
+    corr_config.window = static_cast<std::size_t>(m);
+    corr_config.maronna = config.maronna;
+    stats::CorrelationCalculator calc(corr_config, n);
 
-    md::QuoteCleaner cleaner(config.symbols, config.cleaner);
-    const auto cleaned = cleaner.clean(day.quotes());
-    out.quotes_processed += day.quotes().size();
-    out.quotes_dropped += day.quotes().size() - cleaned.size();
-
-    const auto bam =
-        md::sample_bam_series(cleaned, config.symbols, gen.session, delta_s);
-
-    for (const std::int64_t m : windows) {
-      const auto series =
-          compute_market_corr_series(bam, m, /*need_maronna=*/true, config.maronna,
-                                     shard, config.warm_maronna);
-      for (std::size_t l = 0; l < n_levels; ++l) {
-        if (levels[l].corr_window != m) continue;
-        for (std::size_t c = 0; c < n_ctypes; ++c) {
-          StrategyParams params = levels[l];
-          params.ctype = stats::all_ctypes[c];
-          for (std::size_t p = 0; p < shard.size(); ++p) {
-            const auto trades =
-                run_pair_day(params, bam[shard[p].i], bam[shard[p].j], series, p);
-            std::vector<double> trade_returns;
-            trade_returns.reserve(trades.size());
-            for (const auto& t : trades) trade_returns.push_back(t.trade_return);
-            out.total_trades += trades.size();
-
-            CellAccum& a = cell(c, l, p);
-            a.daily_returns.push_back(cumulative_return(trade_returns));
-            a.wl.merge(win_loss(trade_returns));
-          }
-        }
+    std::vector<SweepBook> books;
+    for (std::size_t l = 0; l < n_levels; ++l) {
+      if (levels[l].corr_window != m) continue;
+      for (std::size_t c = 0; c < n_ctypes; ++c) {
+        StrategyParams params = levels[l];
+        params.ctype = stats::all_ctypes[c];
+        books.push_back({c, (c * n_levels + l) * pairs.size(),
+                         PairBook(params, smax, n, pairs)});
       }
     }
-  }
 
-  // Finalize: per (ctype, level, pair) measures, then the paper's
-  // average-over-levels aggregation.
-  out.n_levels = n_levels;
-  out.by_level.assign(n_ctypes * n_levels, {});
-  for (std::size_t c = 0; c < n_ctypes; ++c) {
-    out.measures[c].resize(shard.size());
-    for (std::size_t l = 0; l < n_levels; ++l)
-      out.by_level[c * n_levels + l].resize(shard.size());
-    for (std::size_t p = 0; p < shard.size(); ++p) {
-      double sum_ret = 0.0, sum_mdd = 0.0, sum_wl = 0.0;
-      for (std::size_t l = 0; l < n_levels; ++l) {
-        const CellAccum& a = cell(c, l, p);
-        PairMeasures m;
-        m.monthly_return_plus1 = cumulative_return(a.daily_returns) + 1.0;
-        m.max_daily_drawdown = max_drawdown(a.daily_returns);
-        m.win_loss = a.wl.ratio();
-        out.by_level[c * n_levels + l][p] = m;
-        sum_ret += m.monthly_return_plus1;
-        sum_mdd += m.max_daily_drawdown;
-        sum_wl += m.win_loss;
+    for (std::int64_t s = 0; s < smax; ++s) {
+      const auto si = static_cast<std::size_t>(s);
+      for (std::size_t i = 0; i < n; ++i) prices[i] = bam[i][si];
+      if (s > 0) {
+        for (std::size_t i = 0; i < n; ++i) step_returns[i] = returns[i][si - 1];
+        calc.push(step_returns);
       }
-      const auto nl = static_cast<double>(n_levels);
-      out.measures[c][p] = {sum_ret / nl, sum_mdd / nl, sum_wl / nl};
+      // The window holds M returns from interval M on: first_valid == M.
+      const bool valid = calc.ready();
+      if (valid) {
+        calc.vectors_into(corr);
+        for (std::size_t k = 0; k < pairs.size(); ++k)
+          combined[k] = stats::combine(corr.pearson[k], corr.maronna[k]);
+      }
+      const double* by_ctype[n_ctypes] = {corr.pearson.data(), corr.maronna.data(),
+                                          combined.data()};
+      for (auto& b : books) {
+        b.book.step(s, prices.data(), valid ? by_ctype[b.ctype] : nullptr, valid);
+        collect(b);
+      }
+    }
+    for (auto& b : books) {
+      b.book.finish();
+      collect(b);
     }
   }
-  if (!config.keep_level_detail) out.by_level.clear();
   return out;
 }
 
-ExperimentResult assemble(const ExperimentConfig& config,
-                          const std::vector<ShardOutput>& shards) {
+std::vector<std::uint8_t> pack_days(const std::vector<DayOutput>& days) {
+  mpi::Packer packer;
+  packer.put<std::uint64_t>(days.size());
+  for (const auto& d : days) {
+    packer.put(d.day);
+    packer.put(d.trades);
+    packer.put(d.quotes_processed);
+    packer.put(d.quotes_dropped);
+    packer.put_vector(d.cells);
+  }
+  return packer.take();
+}
+
+void unpack_days(const std::vector<std::uint8_t>& bytes, std::vector<DayOutput>& by_day) {
+  mpi::Unpacker unpacker(bytes);
+  const auto count = unpacker.get<std::uint64_t>();
+  for (std::uint64_t k = 0; k < count; ++k) {
+    DayOutput d;
+    d.day = unpacker.get<std::int32_t>();
+    d.trades = unpacker.get<std::uint64_t>();
+    d.quotes_processed = unpacker.get<std::uint64_t>();
+    d.quotes_dropped = unpacker.get<std::uint64_t>();
+    d.cells = unpacker.get_vector<DayCell>();
+    by_day.at(static_cast<std::size_t>(d.day)) = std::move(d);
+  }
+}
+
+// Fold the days, in day order, into the paper's measures: per (ctype, level,
+// pair) the month's daily returns and win/loss counts, then the average over
+// levels.
+ExperimentResult merge_days(const ExperimentConfig& config,
+                            const std::vector<DayOutput>& days) {
   const md::Universe universe = md::make_universe(config.symbols);
   const auto pairs = stats::all_pairs(config.symbols);
+  const std::size_t n_pairs = pairs.size();
+  const std::size_t n_levels = config.grid.levels().size();
 
   ExperimentResult result;
   result.symbols = config.symbols;
-  result.pair_count = pairs.size();
+  result.pair_count = n_pairs;
   result.days = config.days;
-  result.pair_names.reserve(pairs.size());
+  result.pair_names.reserve(n_pairs);
   for (const auto& pr : pairs)
     result.pair_names.push_back(universe.table.name(pr.i) + "/" +
                                 universe.table.name(pr.j));
 
-  // Map canonical pair -> global slot.
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::size_t> slot;
-  for (std::size_t k = 0; k < pairs.size(); ++k) slot[{pairs[k].i, pairs[k].j}] = k;
+  std::vector<std::vector<double>> daily_returns(n_ctypes * n_levels * n_pairs);
+  std::vector<WinLoss> wl(daily_returns.size());
+  for (const auto& d : days) {
+    MM_ASSERT(d.cells.size() == daily_returns.size());
+    result.total_trades += d.trades;
+    result.quotes_processed += d.quotes_processed;
+    result.quotes_dropped += d.quotes_dropped;
+    for (std::size_t q = 0; q < d.cells.size(); ++q) {
+      daily_returns[q].push_back(d.cells[q].wealth - 1.0);
+      wl[q].merge(d.cells[q].wl);
+    }
+  }
 
   for (std::size_t c = 0; c < n_ctypes; ++c) {
-    result.monthly_return_plus1[c].assign(pairs.size(), 0.0);
-    result.max_daily_drawdown[c].assign(pairs.size(), 0.0);
-    result.win_loss[c].assign(pairs.size(), 0.0);
-  }
-
-  const std::size_t n_levels = config.grid.levels().size();
-  if (config.keep_level_detail) {
-    for (std::size_t c = 0; c < n_ctypes; ++c) {
-      result.level_monthly_return_plus1[c].assign(n_levels,
-                                                  std::vector<double>(pairs.size(), 0.0));
-      result.level_max_daily_drawdown[c].assign(n_levels,
-                                                std::vector<double>(pairs.size(), 0.0));
-      result.level_win_loss[c].assign(n_levels,
-                                      std::vector<double>(pairs.size(), 0.0));
+    result.monthly_return_plus1[c].assign(n_pairs, 0.0);
+    result.max_daily_drawdown[c].assign(n_pairs, 0.0);
+    result.win_loss[c].assign(n_pairs, 0.0);
+    if (config.keep_level_detail) {
+      result.level_monthly_return_plus1[c].assign(n_levels, std::vector<double>(n_pairs));
+      result.level_max_daily_drawdown[c].assign(n_levels, std::vector<double>(n_pairs));
+      result.level_win_loss[c].assign(n_levels, std::vector<double>(n_pairs));
     }
-  }
-
-  for (const auto& shard : shards) {
-    result.total_trades += shard.total_trades;
-    result.quotes_processed += shard.quotes_processed;
-    result.quotes_dropped += shard.quotes_dropped;
-    for (std::size_t p = 0; p < shard.pairs.size(); ++p) {
-      const std::size_t k = slot.at({shard.pairs[p].i, shard.pairs[p].j});
-      for (std::size_t c = 0; c < n_ctypes; ++c) {
-        result.monthly_return_plus1[c][k] = shard.measures[c][p].monthly_return_plus1;
-        result.max_daily_drawdown[c][k] = shard.measures[c][p].max_daily_drawdown;
-        result.win_loss[c][k] = shard.measures[c][p].win_loss;
-        if (config.keep_level_detail && !shard.by_level.empty()) {
-          for (std::size_t l = 0; l < n_levels; ++l) {
-            const PairMeasures& m = shard.by_level[c * n_levels + l][p];
-            result.level_monthly_return_plus1[c][l][k] = m.monthly_return_plus1;
-            result.level_max_daily_drawdown[c][l][k] = m.max_daily_drawdown;
-            result.level_win_loss[c][l][k] = m.win_loss;
-          }
+    for (std::size_t p = 0; p < n_pairs; ++p) {
+      double sum_ret = 0.0, sum_mdd = 0.0, sum_wl = 0.0;
+      for (std::size_t l = 0; l < n_levels; ++l) {
+        const std::size_t q = (c * n_levels + l) * n_pairs + p;
+        const double ret = cumulative_return(daily_returns[q]) + 1.0;
+        const double mdd = max_drawdown(daily_returns[q]);
+        const double ratio = wl[q].ratio();
+        if (config.keep_level_detail) {
+          result.level_monthly_return_plus1[c][l][p] = ret;
+          result.level_max_daily_drawdown[c][l][p] = mdd;
+          result.level_win_loss[c][l][p] = ratio;
         }
+        sum_ret += ret;
+        sum_mdd += mdd;
+        sum_wl += ratio;
       }
+      const auto nl = static_cast<double>(n_levels);
+      result.monthly_return_plus1[c][p] = sum_ret / nl;
+      result.max_daily_drawdown[c][p] = sum_mdd / nl;
+      result.win_loss[c][p] = sum_wl / nl;
     }
-  }
-  // quotes counters are per-shard duplicates of the same generated day; keep
-  // one copy's worth.
-  if (shards.size() > 1) {
-    result.quotes_processed = shards.front().quotes_processed;
-    result.quotes_dropped = shards.front().quotes_dropped;
   }
   return result;
-}
-
-void pack_measures(mpi::Packer& packer, const std::vector<PairMeasures>& ms) {
-  for (const auto& m : ms) {
-    packer.put<double>(m.monthly_return_plus1);
-    packer.put<double>(m.max_daily_drawdown);
-    packer.put<double>(m.win_loss);
-  }
-}
-
-void unpack_measures(mpi::Unpacker& unpacker, std::vector<PairMeasures>& ms) {
-  for (auto& m : ms) {
-    m.monthly_return_plus1 = unpacker.get<double>();
-    m.max_daily_drawdown = unpacker.get<double>();
-    m.win_loss = unpacker.get<double>();
-  }
-}
-
-std::vector<std::uint8_t> pack_shard(const ShardOutput& shard) {
-  mpi::Packer packer;
-  packer.put<std::uint64_t>(shard.pairs.size());
-  for (const auto& p : shard.pairs) {
-    packer.put<std::uint32_t>(p.i);
-    packer.put<std::uint32_t>(p.j);
-  }
-  for (std::size_t c = 0; c < n_ctypes; ++c) pack_measures(packer, shard.measures[c]);
-  packer.put<std::uint64_t>(shard.n_levels);
-  packer.put<std::uint64_t>(shard.by_level.size());
-  for (const auto& level : shard.by_level) pack_measures(packer, level);
-  packer.put<std::uint64_t>(shard.total_trades);
-  packer.put<std::uint64_t>(shard.quotes_processed);
-  packer.put<std::uint64_t>(shard.quotes_dropped);
-  return packer.take();
-}
-
-ShardOutput unpack_shard(const std::vector<std::uint8_t>& bytes) {
-  mpi::Unpacker unpacker(bytes);
-  ShardOutput shard;
-  const auto count = unpacker.get<std::uint64_t>();
-  shard.pairs.reserve(count);
-  for (std::uint64_t k = 0; k < count; ++k) {
-    stats::PairIndex p{};
-    p.i = unpacker.get<std::uint32_t>();
-    p.j = unpacker.get<std::uint32_t>();
-    shard.pairs.push_back(p);
-  }
-  for (std::size_t c = 0; c < n_ctypes; ++c) {
-    shard.measures[c].resize(count);
-    unpack_measures(unpacker, shard.measures[c]);
-  }
-  shard.n_levels = static_cast<std::size_t>(unpacker.get<std::uint64_t>());
-  shard.by_level.resize(static_cast<std::size_t>(unpacker.get<std::uint64_t>()));
-  for (auto& level : shard.by_level) {
-    level.resize(count);
-    unpack_measures(unpacker, level);
-  }
-  shard.total_trades = unpacker.get<std::uint64_t>();
-  shard.quotes_processed = static_cast<std::size_t>(unpacker.get<std::uint64_t>());
-  shard.quotes_dropped = static_cast<std::size_t>(unpacker.get<std::uint64_t>());
-  return shard;
 }
 
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
   Stopwatch watch;
-  const auto shard = run_shard(config, stats::all_pairs(config.symbols));
-  auto result = assemble(config, {shard});
+  const md::Universe universe = md::make_universe(config.symbols);
+  std::vector<DayOutput> days;
+  for (int d = 0; d < config.days; ++d) days.push_back(run_day(config, universe, d));
+  auto result = merge_days(config, days);
   result.wall_seconds = watch.elapsed_seconds();
   return result;
 }
@@ -274,20 +248,18 @@ ExperimentResult run_experiment_parallel(const ExperimentConfig& config) {
 
   ExperimentResult result;
   mpi::Environment::run(config.ranks, [&](mpi::Comm& comm) {
-    // Static shard: pair k -> rank k % size.
-    const auto pairs = stats::all_pairs(config.symbols);
-    std::vector<stats::PairIndex> mine;
-    for (std::size_t k = 0; k < pairs.size(); ++k)
-      if (static_cast<int>(k % static_cast<std::size_t>(comm.size())) == comm.rank())
-        mine.push_back(pairs[k]);
+    // Static shard: day d -> rank d % size. A rank past the last day sends
+    // an empty list.
+    const md::Universe universe = md::make_universe(config.symbols);
+    std::vector<DayOutput> mine;
+    for (int d = comm.rank(); d < config.days; d += comm.size())
+      mine.push_back(run_day(config, universe, d));
 
-    const auto shard = run_shard(config, mine);
-    auto gathered = comm.gather_bytes(pack_shard(shard), 0);
+    const auto gathered = comm.gather_bytes(pack_days(mine), 0);
     if (comm.rank() == 0) {
-      std::vector<ShardOutput> shards;
-      shards.reserve(gathered.size());
-      for (const auto& bytes : gathered) shards.push_back(unpack_shard(bytes));
-      result = assemble(config, shards);
+      std::vector<DayOutput> days(static_cast<std::size_t>(config.days));
+      for (const auto& bytes : gathered) unpack_days(bytes, days);
+      result = merge_days(config, days);
     }
   });
   result.wall_seconds = watch.elapsed_seconds();

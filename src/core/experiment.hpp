@@ -1,10 +1,12 @@
 // The §V experiment: brute-force backtest of all pairs under the full
 // parameter grid, with correlation type as the treatment.
 //
-// For every trading day the synthetic market is generated, cleaned, sampled
-// to ∆s BAM series, and the market-wide correlation series are computed once
-// per distinct M (Approach 3's sharing). Every (pair, level, Ctype) strategy
-// then replays the day. Results aggregate exactly as the paper does:
+// For every trading day the synthetic market is generated, cleaned and
+// sampled to ∆s BAM series. For each distinct M one correlation calculator
+// (the pipeline's correlation step, Approach 3's sharing) streams Pearson and
+// Maronna for every pair into one core::PairBook per (level, Ctype) — the
+// pipeline's strategy stage — so each strategy replays the day over all
+// pairs at once. Results aggregate exactly as the paper does:
 // per (pair, Ctype), average over the 14 factor levels of
 //   * total cumulative monthly return (+1, as reported in Table III),
 //   * maximum daily drawdown (Eq. 7, Table IV),
@@ -40,11 +42,6 @@ struct ExperimentConfig {
   md::GeneratorConfig generator{};
   md::CleanerConfig cleaner{};
   stats::MaronnaConfig maronna{};
-  // Warm-start each pair's Maronna estimate from the previous interval's
-  // converged fixed point (stats::WarmMaronna): ~1.5× faster correlation
-  // series at convergence-tolerance accuracy. Deterministic and independent
-  // of the pair sharding, so serial and parallel runs still agree exactly.
-  bool warm_maronna = true;
   ParamGrid grid{};
 
   // Ranks for the mpmini fan-out in run_experiment_parallel.
@@ -85,10 +82,10 @@ struct ExperimentResult {
 // Serial runner (single rank).
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
-// Pair-sharded parallel runner over `config.ranks` mpmini ranks: each rank
-// generates the (identical, deterministic) day, computes correlation series
-// only for its pair shard, runs the strategies and the results are gathered
-// at rank 0. Output is identical to run_experiment.
+// Day-sharded parallel runner over `config.ranks` mpmini ranks: day d runs on
+// rank d % ranks, which generates only its own days, and rank 0 merges the
+// per-day results in day order. Every day is deterministic on its own, so
+// the output is identical to run_experiment under any rank count.
 ExperimentResult run_experiment_parallel(const ExperimentConfig& config);
 
 }  // namespace mm::core

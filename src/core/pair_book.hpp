@@ -68,6 +68,14 @@ class PairBook {
   // The same trades grouped by pair in pair order, each pair's in closing
   // order — the order of running PairStrategy over each pair in turn.
   std::vector<Trade> trades_by_pair() const;
+  // Forget the closed trades so far (capacity is kept); the trades of later
+  // events index from 0 again, and trades_by_pair() covers only them. A
+  // caller that consumes each step's events as they come bounds the trade
+  // log by one step's closes this way.
+  void clear_trades() {
+    trades_.clear();
+    trade_pair_.clear();
+  }
 
   // Bytes held by the book's state (everything but the closed trades):
   //   pairs   × (8·W + 8·3 + 1 + sizeof(PairPosition) + sizeof(PairIndex)

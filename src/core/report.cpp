@@ -112,10 +112,7 @@ std::string paper_reference(Measure m) {
           "  Standard Deviation       0.1235        0.1085        0.0747\n"
           "  Sharpe Ratio             9.2899       10.6184       14.8568\n"
           "  Skewness                 2.8484        1.9281        1.4871\n"
-          "  Kurtosis                16.6541        9.4091        7.1706\n"
-          "shape: all treatments profitable on average; Pearson highest mean;\n"
-          "Combined lowest dispersion => highest Sharpe; heavy right skew and\n"
-          "excess kurtosis everywhere, fattest tail for Maronna.\n";
+          "  Kurtosis                16.6541        9.4091        7.1706\n";
     case Measure::max_daily_drawdown:
       return
           "paper (Table IV):         Maronna       Pearson      Combined\n"
@@ -123,9 +120,7 @@ std::string paper_reference(Measure m) {
           "  Median                  1.2446%       1.1533%       1.1702%\n"
           "  Standard Deviation       1.5481        1.4606        1.4668\n"
           "  Skewness                 3.4443        3.5005        3.8890\n"
-          "  Kurtosis                21.5922       21.5295       27.3131\n"
-          "shape: small (~1-2%) average worst daily peak-to-valley drops;\n"
-          "Pearson lowest, Maronna highest; strongly right-skewed.\n";
+          "  Kurtosis                21.5922       21.5295       27.3131\n";
     case Measure::win_loss:
       return
           "paper (Table V):          Maronna       Pearson      Combined\n"
@@ -133,11 +128,71 @@ std::string paper_reference(Measure m) {
           "  Median                   1.2652        1.2688        1.2689\n"
           "  Standard Deviation       0.1263        0.1269        0.1356\n"
           "  Skewness                 0.2897        0.2521        0.3002\n"
-          "  Kurtosis                 3.0781        3.0665        3.0991\n"
-          "shape: all three nearly identical, ratios ~1.27, mild right skew,\n"
-          "Combined a hair ahead on the mean.\n";
+          "  Kurtosis                 3.0781        3.0665        3.0991\n";
   }
   return "";
+}
+
+std::vector<ShapeVerdict> shape_verdicts(const ExperimentResult& result, Measure m) {
+  using stats::Ctype;
+  using stats::Summary;
+  stats::Summary s[3];  // indexed by Ctype
+  for (std::size_t c = 0; c < 3; ++c) s[c] = stats::summarize(sample_of(result, m, c));
+
+  struct Claim {
+    Ctype who;
+    bool highest;
+    const char* statistic;
+    double Summary::*field;
+  };
+  std::vector<Claim> claims;
+  switch (m) {
+    case Measure::monthly_return:
+      claims = {{Ctype::pearson, true, "mean", &Summary::mean},
+                {Ctype::combined, false, "standard deviation", &Summary::stddev},
+                {Ctype::combined, true, "Sharpe ratio", &Summary::sharpe},
+                {Ctype::maronna, true, "kurtosis", &Summary::kurtosis}};
+      break;
+    case Measure::max_daily_drawdown:
+      claims = {{Ctype::pearson, false, "mean", &Summary::mean},
+                {Ctype::maronna, true, "mean", &Summary::mean}};
+      break;
+    case Measure::win_loss:
+      claims = {{Ctype::combined, true, "mean", &Summary::mean}};
+      break;
+  }
+
+  // Table IV's drawdowns read as percentages, as in render_table.
+  const bool as_percent = m == Measure::max_daily_drawdown;
+  std::vector<ShapeVerdict> out;
+  for (const auto& claim : claims) {
+    ShapeVerdict v;
+    v.claim = format("%s has the %s %s", stats::to_string(claim.who),
+                     claim.highest ? "highest" : "lowest", claim.statistic);
+    const double mine = s[static_cast<std::size_t>(claim.who)].*claim.field;
+    v.holds = true;
+    for (std::size_t c = 0; c < 3; ++c) {
+      if (c == static_cast<std::size_t>(claim.who)) continue;
+      const double other = s[c].*claim.field;
+      if (claim.highest ? !(mine > other) : !(mine < other)) v.holds = false;
+    }
+    for (const auto c : column_order) {
+      const double x = s[c].*claim.field;
+      v.measured += format("%s%s %.4f%s", v.measured.empty() ? "" : ", ",
+                           stats::to_string(static_cast<Ctype>(c)),
+                           as_percent ? 100.0 * x : x, as_percent ? "%" : "");
+    }
+    out.push_back(std::move(v));
+  }
+  return out;
+}
+
+std::string render_verdicts(const ExperimentResult& result, Measure m) {
+  std::string out;
+  for (const auto& v : shape_verdicts(result, m))
+    out += format("%s %s: %s\n", v.holds ? "✔" : "✘", v.claim.c_str(),
+                  v.measured.c_str());
+  return out;
 }
 
 Status write_experiment_csv(const ExperimentResult& result, const std::string& path) {

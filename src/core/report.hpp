@@ -1,9 +1,10 @@
 // Report rendering for the reproduction benches: Tables III-V rows and the
 // Figure 2 box plots, in the paper's layout, plus the paper's published
-// numbers for side-by-side comparison.
+// numbers and a measured verdict on each of its qualitative claims.
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/experiment.hpp"
 #include "stats/boxplot.hpp"
@@ -29,9 +30,30 @@ std::string render_table(const ExperimentResult& result, Measure m,
 // count, and an ASCII box plot on a shared axis.
 std::string render_boxplots(const ExperimentResult& result, Measure m);
 
-// The paper's published Table III/IV/V values, for the shape comparison
-// printed beneath each reproduced table.
+// The paper's published Table III/IV/V values, printed beneath each
+// reproduced table.
 std::string paper_reference(Measure m);
+
+// One of the paper's qualitative claims about a table, judged on measured
+// per-treatment summaries. A claim that one treatment has the highest (or
+// lowest) value of a statistic holds only if it is strictly above (below)
+// both others.
+struct ShapeVerdict {
+  std::string claim;     // e.g. "Pearson has the highest mean"
+  bool holds = false;
+  std::string measured;  // the statistic per treatment, in column order
+};
+
+// The paper's claims per table:
+//   Table III  Pearson has the highest mean; Combined has the lowest standard
+//              deviation and the highest Sharpe ratio; Maronna has the
+//              highest kurtosis.
+//   Table IV   Pearson has the lowest mean; Maronna has the highest mean.
+//   Table V    Combined has the highest mean.
+std::vector<ShapeVerdict> shape_verdicts(const ExperimentResult& result, Measure m);
+
+// The verdicts, one "✔ claim: measured" or "✘ claim: measured" line each.
+std::string render_verdicts(const ExperimentResult& result, Measure m);
 
 // Export the per-pair samples as CSV
 // (pair,ctype,monthly_return_plus1,max_daily_drawdown,win_loss), one row per

@@ -14,12 +14,6 @@ namespace {
 // distinct window rows.
 constexpr std::size_t kPairTile = 64;
 
-// Warm-start state is only materialized for the robust measures.
-std::size_t warm_slots(const CorrEngineConfig& config, std::size_t symbols) {
-  if (!config.warm_start || config.type == Ctype::pearson) return 0;
-  return symbols * (symbols - 1) / 2;
-}
-
 // The unwrap arena and the scale table serve the Maronna/Combined per-pair
 // kernels; pure Pearson engines never read them.
 std::size_t arena_size(const CorrEngineConfig& config, std::size_t symbols) {
@@ -47,13 +41,7 @@ CorrelationCalculator::CorrelationCalculator(const CorrEngineConfig& config,
       windows_(symbols, config.window, /*track_cross_sums=*/true),
       pairs_(tiled_pairs(symbols, kPairTile)),
       unwrap_(arena_size(config, symbols)),
-      scales_(scale_slots(config, symbols)),
-      warm_(warm_slots(config, symbols), config.maronna) {}
-
-void CorrelationCalculator::push(const std::vector<double>& returns) {
-  windows_.push(returns);
-  warm_.advance();
-}
+      scales_(scale_slots(config, symbols)) {}
 
 void CorrelationCalculator::ensure_unwrapped() const {
   if (unwrap_step_ == windows_.steps() && unwrap_step_ > 0) return;
@@ -67,12 +55,9 @@ void CorrelationCalculator::ensure_unwrapped() const {
 
 double CorrelationCalculator::maronna_pair(std::size_t i, std::size_t j) const {
   ensure_unwrapped();
-  const double* x = window_view(i);
-  const double* y = window_view(j);
-  const std::size_t m = windows_.window();
-  if (config_.warm_start)
-    return warm_.estimate(pair_slot(symbols(), i, j), x, y, m, scales_[i], scales_[j]);
-  return maronna_estimate(x, y, m, scales_[i], scales_[j], config_.maronna).correlation;
+  return maronna_estimate(window_view(i), window_view(j), windows_.window(),
+                          scales_[i], scales_[j], config_.maronna)
+      .correlation;
 }
 
 double CorrelationCalculator::pair(std::size_t i, std::size_t j) const {

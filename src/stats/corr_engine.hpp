@@ -6,8 +6,8 @@
 // (all pairs at once via the blocked pearson_pairs / pearson_matrix kernels);
 // Maronna entries re-estimate each pair's 2×2 robust scatter over the window
 // (the expensive part the paper parallelizes [14]) from one shared per-step
-// unwrap arena, warm-started from the previous step's converged estimate when
-// `warm_start` is enabled.
+// unwrap arena and per-symbol median/MAD table. Every entry depends only on
+// the current window contents.
 //
 // CorrelationCalculator is the single-rank kernel; ParallelCorrelationEngine
 // shards it across the ranks of an mpmini communicator — the "Parallel
@@ -36,11 +36,6 @@ struct CorrEngineConfig {
   // Repair matrix_into's result to PSD (meaningful for Maronna/Combined;
   // costs an O(n³) eigendecomposition per step).
   bool repair_psd = false;
-  // Warm-start Maronna from the previous step's converged estimate (see
-  // WarmMaronna, cold restart every kWarmRestartInterval steps). Results
-  // agree with the batch estimator to within the convergence tolerance
-  // instead of bit-for-bit, so this is opt-in.
-  bool warm_start = false;
 };
 
 // One step's correlations in canonical all_pairs order — the CorrFrame and
@@ -58,7 +53,7 @@ class CorrelationCalculator {
  public:
   CorrelationCalculator(const CorrEngineConfig& config, std::size_t symbols);
 
-  void push(const std::vector<double>& returns);
+  void push(const std::vector<double>& returns) { windows_.push(returns); }
   bool ready() const { return windows_.ready(); }
   std::size_t symbols() const { return windows_.symbols(); }
   const CorrEngineConfig& config() const { return config_; }
@@ -104,12 +99,11 @@ class CorrelationCalculator {
   // Step-scoped caches: the estimators are logically const — these only
   // memoize work derived from the current window state.
   mutable std::vector<double> unwrap_;  // [symbol * window], oldest -> newest
-  // robust_scale of each symbol's window: every cold Maronna start (and the
-  // warm path's degeneracy test) reads two entries instead of recomputing
-  // the medians/MADs per pair. 16 bytes per symbol.
+  // robust_scale of each symbol's window: every Maronna estimate reads two
+  // entries instead of recomputing the medians/MADs per pair. 16 bytes per
+  // symbol.
   mutable std::vector<RobustScale> scales_;
   mutable std::size_t unwrap_step_ = 0;  // windows_.steps() the arena reflects
-  mutable WarmMaronna warm_;
   mutable MaronnaScratch maronna_scratch_;  // robust_scale buffers
 };
 
@@ -129,13 +123,10 @@ class CorrelationCalculator {
 // a replica that misses the deadline is removed for good (a missed round
 // also desyncs its window mirror), the leader computes that replica's block
 // itself — it mirrors every window — and the pairs reshard over the
-// survivors from the next round on. Per-pair Pearson and cold Maronna depend
-// only on the window contents, so the leader's vectors are bit-identical to a
-// serial CorrelationCalculator under any rank count and any resharding. Warm
-// Maronna keeps each pair's seed on the rank that estimates it, so it too is
-// bit-identical while the blocks hold; after a reshard the moved pairs agree
-// only to the convergence tolerance. With replica_deadline == 0 every wait
-// blocks.
+// survivors from the next round on. Every estimator depends only on the
+// window contents, so the leader's vectors are bit-identical to a serial
+// CorrelationCalculator under any rank count and any resharding, for every
+// Ctype. With replica_deadline == 0 every wait blocks.
 //
 // The engine's traffic uses two point-to-point tags on `comm`; give it a
 // communicator that nothing else receives wildcard tags on.

@@ -7,31 +7,18 @@
 // current location (in Mahalanobis distance) are smoothly downweighted, so a
 // handful of bad ticks cannot swing the estimate the way they swing Pearson.
 //
-// Two entry points into the same fixed-point map:
-//
-//   * maronna_estimate   — cold start from coordinatewise medians/MADs. This
-//     is the batch estimator. The median/MAD initialization (robust_scale,
-//     two nth_element passes per sample) depends on one sample only, so the
-//     engines compute it once per symbol per step and pass the two scales
-//     in; the scratch overload computes both itself.
-//   * maronna_reestimate — warm start from a previous converged estimate on
-//     an overlapping window (the sliding-window engines advance one return
-//     per step, so the previous fixed point is an excellent seed). Skips the
-//     median/MAD work and shortens the tail with Anderson extrapolation and
-//     a distance-bound early stop: typically ~5 map evaluations instead of
-//     ~9 plus initialization. Falls back to cold when the seed is unusable.
-//
-// WarmMaronna packages the per-pair warm-start bookkeeping (seed validity,
-// periodic cold-restart cadence, degenerate-window fallback) for the
-// correlation engines; see DESIGN.md "Correlation kernel" for the accuracy
-// contract.
+// maronna_estimate starts the fixed point from coordinatewise medians/MADs.
+// The median/MAD initialization (robust_scale, two nth_element passes per
+// sample) depends on one sample only, so the correlation engine computes it
+// once per symbol per step and passes the two scales in; the scratch
+// overload computes both itself. Every entry point runs the same
+// initialization and map, so all of them agree bit for bit.
 //
 // The pairwise estimates do NOT assemble into a positive semi-definite
 // matrix (the paper's §IV caveat); see psd.hpp for the repair.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace mm::stats {
@@ -53,8 +40,8 @@ struct MaronnaResult {
   double scatter_xy = 0.0;
   double scatter_yy = 0.0;
   // Measured linear-convergence ratio |step_k|/|step_{k-1}| of the fixed
-  // point (< 0 when never measured). Diagnostic: the warm path converges in
-  // ~log(seed error / tolerance) / log(1/contraction) map evaluations.
+  // point (< 0 when never measured). Diagnostic: the iteration converges in
+  // ~log(initial error / tolerance) / log(1/contraction) map evaluations.
   double contraction = -1.0;
   int iterations = 0;
   bool converged = false;
@@ -95,65 +82,6 @@ MaronnaResult maronna_estimate(const double* x, const double* y, std::size_t n,
                                MaronnaScratch& scratch);
 MaronnaResult maronna_estimate(const double* x, const double* y, std::size_t n,
                                const MaronnaConfig& config = {});
-
-// Warm-started re-estimate: seeds the fixed-point iteration from `seed`
-// (location + 2×2 scatter of a previous converged estimate on an overlapping
-// window) instead of medians/MADs. The iteration map is identical to the
-// cold start's on non-degenerate data, so both converge to the same unique
-// fixed point; the results agree to within the convergence tolerance. If the
-// seed is unusable (non-finite, non-positive-definite, or not converged) the
-// call transparently falls back to maronna_estimate.
-MaronnaResult maronna_reestimate(const double* x, const double* y, std::size_t n,
-                                 const MaronnaResult& seed,
-                                 const MaronnaConfig& config,
-                                 MaronnaScratch& scratch);
-MaronnaResult maronna_reestimate(const double* x, const double* y, std::size_t n,
-                                 const MaronnaResult& seed,
-                                 const MaronnaConfig& config = {});
-
-// Default cold-restart cadence for warm-started engines: every this many
-// steps each pair re-seeds from medians/MADs, bounding any drift a long warm
-// chain could accumulate.
-inline constexpr int kWarmRestartInterval = 64;
-
-// Per-pair warm-start state for a sliding-window engine. One instance covers
-// `pairs` slots; the engine maps its (i, j) pairs onto slot indices. Call
-// advance() once per window step, then estimate() per pair with contiguous
-// window views. Results are memoized per step, so repeated queries of the
-// same pair in one step return the identical value.
-class WarmMaronna {
- public:
-  WarmMaronna(std::size_t pairs, const MaronnaConfig& config,
-              int restart_interval = kWarmRestartInterval);
-
-  // Start a new window step (invalidates the per-step memo).
-  void advance() { ++step_; }
-
-  // Robust correlation of the pair occupying `slot`, over the window views
-  // x[0..n) / y[0..n). `scale_x` / `scale_y` must be robust_scale of the
-  // two views: the engines compute them once per symbol per step, and this
-  // class trusts them rather than rescanning. Cold starts run from them,
-  // and a MAD of zero on either side — the cold start's floored map, which
-  // the floor-free warm path must not iterate — forces a cold start.
-  double estimate(std::size_t slot, const double* x, const double* y,
-                  std::size_t n, const RobustScale& scale_x,
-                  const RobustScale& scale_y);
-
-  // Diagnostics: how many estimates since construction ran warm vs cold.
-  std::uint64_t warm_calls() const { return warm_calls_; }
-  std::uint64_t cold_calls() const { return cold_calls_; }
-
- private:
-  MaronnaConfig config_;
-  int restart_interval_;
-  std::int64_t step_ = 0;
-  std::vector<MaronnaResult> state_;
-  std::vector<std::int64_t> cold_step_;      // step of the last cold start
-  std::vector<std::int64_t> computed_step_;  // memo: step of the cached value
-  std::vector<std::uint8_t> seedable_;
-  std::uint64_t warm_calls_ = 0;
-  std::uint64_t cold_calls_ = 0;
-};
 
 // Correlation-only conveniences.
 double maronna(const double* x, const double* y, std::size_t n,

@@ -7,8 +7,7 @@
 // their own executable, same pattern as tests/test_transport.cpp) and assert:
 //
 //   * CorrelationCalculator::push + matrix_into is allocation-free in steady
-//     state for Pearson, cold Maronna (the MaronnaScratch path) and
-//     warm-started Maronna — including across a cold restart;
+//     state for Pearson, Maronna (the MaronnaScratch path) and Combined;
 //   * a single-rank ParallelCorrelationEngine::step is allocation-free in
 //     steady state (the one-rank path);
 //   * a multi-rank step allocates only the transport's bounded per-message
@@ -83,7 +82,7 @@ std::uint64_t calculator_steady_state_allocs(const CorrEngineConfig& cfg,
   StepSource source(symbols, 42);
   SymMatrix out;
   for (std::size_t t = 0; t < cfg.window + 2; ++t) calc.push(source.next());
-  calc.matrix_into(out);  // sizes out, unwrap arena, scratch, warm state
+  calc.matrix_into(out);  // sizes out, unwrap arena, scratch
   calc.matrix_into(out);  // second call re-walks every memoized path
 
   const auto before = allocations();
@@ -104,25 +103,13 @@ TEST(CorrAlloc, ColdMaronnaSteadyStateIsAllocationFree) {
   CorrEngineConfig cfg;
   cfg.type = Ctype::maronna;
   cfg.window = 24;
-  cfg.warm_start = false;  // every pair runs the median/MAD cold start
   EXPECT_EQ(calculator_steady_state_allocs(cfg, 10, 4), 0u);
-}
-
-TEST(CorrAlloc, WarmMaronnaSteadyStateIsAllocationFreeAcrossColdRestart) {
-  CorrEngineConfig cfg;
-  cfg.type = Ctype::maronna;
-  cfg.window = 24;
-  cfg.warm_start = true;
-  // Measure past kWarmRestartInterval steps so every pair's cold restart
-  // lands inside the measured window.
-  EXPECT_EQ(calculator_steady_state_allocs(cfg, 10, kWarmRestartInterval + 8), 0u);
 }
 
 TEST(CorrAlloc, CombinedSteadyStateIsAllocationFree) {
   CorrEngineConfig cfg;
   cfg.type = Ctype::combined;
   cfg.window = 24;
-  cfg.warm_start = true;
   EXPECT_EQ(calculator_steady_state_allocs(cfg, 10, 4), 0u);
 }
 

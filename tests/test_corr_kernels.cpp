@@ -1,14 +1,12 @@
-// Golden tests for the stateful correlation kernels: warm-started Maronna
-// must track the batch (cold-start) estimator through outlier bursts and
-// degenerate stretches, and the blocked Pearson matrix kernel must equal the
-// element-wise incremental path bit-for-bit.
+// Golden tests for the stateful correlation kernels: the engine's Maronna
+// entries must equal the batch estimator bit for bit through outlier bursts
+// and degenerate stretches, under any rank count, and the blocked Pearson
+// matrix kernel must equal the element-wise incremental path bit-for-bit.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/backtester.hpp"
 #include "mpmini/collectives.hpp"
 #include "mpmini/environment.hpp"
 #include "obs/registry.hpp"
@@ -42,44 +40,11 @@ std::vector<std::vector<double>> golden_stream(std::size_t symbols,
   return out;
 }
 
-TEST(WarmMaronna, GoldenStreamMatchesColdWithinTolerance) {
-  constexpr std::size_t symbols = 5;
-  constexpr std::size_t window = 40;
-  const auto stream = golden_stream(symbols, 500, 42);
-
-  // Tight tolerance so both paths run to the shared fixed point; the 1e-8
-  // agreement below is the contract documented in DESIGN.md. The iteration
-  // contracts slowly under heavy contamination, so the distance to the fixed
-  // point can exceed the step-size tolerance by ~100x — hence 1e-12 here.
-  CorrEngineConfig cold_cfg;
-  cold_cfg.type = Ctype::maronna;
-  cold_cfg.window = window;
-  cold_cfg.maronna.tolerance = 1e-12;
-  cold_cfg.maronna.max_iterations = 2000;
-  CorrEngineConfig warm_cfg = cold_cfg;
-  warm_cfg.warm_start = true;
-
-  CorrelationCalculator cold(cold_cfg, symbols);
-  CorrelationCalculator warm(warm_cfg, symbols);
-
-  std::size_t compared = 0;
-  for (const auto& r : stream) {
-    cold.push(r);
-    warm.push(r);
-    if (!cold.ready()) continue;
-    const auto mc = cold.matrix();
-    const auto mw = warm.matrix();
-    const double diff = SymMatrix::max_abs_diff(mc, mw);
-    ASSERT_LE(diff, 1e-8) << "at step " << compared;
-    ++compared;
-  }
-  EXPECT_GT(compared, 400u);
-}
-
-TEST(WarmMaronna, DegenerateStretchesMatchBatchExactly) {
-  // While a window is exactly constant the engine must fall back to the cold
-  // start, which reproduces the batch estimator bit-for-bit (including its
-  // "zero dispersion -> correlation 0" convention).
+TEST(CorrelationCalculator, MaronnaDegenerateStretchesMatchBatchExactly) {
+  // While a window is partly or exactly constant the engine's per-symbol
+  // medians/MADs engage the batch estimator's dispersion floors, so it must
+  // reproduce the batch estimator bit-for-bit (including its "zero
+  // dispersion -> correlation 0" convention).
   constexpr std::size_t symbols = 3;
   constexpr std::size_t window = 20;
   const auto stream = golden_stream(symbols, 400, 7);
@@ -87,17 +52,16 @@ TEST(WarmMaronna, DegenerateStretchesMatchBatchExactly) {
   CorrEngineConfig cfg;
   cfg.type = Ctype::maronna;
   cfg.window = window;
-  cfg.warm_start = true;
   cfg.maronna.tolerance = 1e-12;
   cfg.maronna.max_iterations = 2000;
-  CorrelationCalculator warm(cfg, symbols);
+  CorrelationCalculator calc(cfg, symbols);
 
   std::vector<std::vector<double>> history(symbols);
   std::vector<double> wx(window), wy(window);
   for (const auto& r : stream) {
-    warm.push(r);
+    calc.push(r);
     for (std::size_t i = 0; i < symbols; ++i) history[i].push_back(r[i]);
-    if (!warm.ready()) continue;
+    if (!calc.ready()) continue;
     const std::size_t steps = history[0].size();
     // Symbol 1 is frozen over steps 250..310: its windows pass through
     // partially- and fully-degenerate states. Compare against batch.
@@ -108,57 +72,14 @@ TEST(WarmMaronna, DegenerateStretchesMatchBatchExactly) {
         wy[t] = history[1][lo + t];
       }
       const double batch = maronna(wx.data(), wy.data(), window, cfg.maronna);
-      EXPECT_NEAR(warm.pair(0, 1), batch, 1e-8) << "at step " << steps;
+      EXPECT_EQ(calc.pair(0, 1), batch) << "at step " << steps;
     }
   }
 }
 
-TEST(WarmMaronna, WarmPathActuallyRunsWarm) {
-  // Sanity check on the machinery itself: on a clean stream the warm path
-  // must dominate, with cold starts only at seeding/restart cadence.
-  constexpr std::size_t window = 30;
-  const auto stream = golden_stream(2, 300, 9);
-  WarmMaronna warm(1, MaronnaConfig{});
-  ReturnWindows windows(2, window, false);
-  std::vector<double> arena(2 * window);
-  MaronnaScratch scratch;
-  for (const auto& r : stream) {
-    windows.push(r);
-    warm.advance();
-    if (!windows.ready()) continue;
-    windows.unwrap_all(arena.data());
-    const double* x = arena.data();
-    const double* y = arena.data() + window;
-    warm.estimate(0, x, y, window, robust_scale(x, window, scratch),
-                  robust_scale(y, window, scratch));
-  }
-  EXPECT_GT(warm.warm_calls(), 4 * warm.cold_calls());
-  EXPECT_GE(warm.cold_calls(), 1u);  // at least the initial seed + cadence
-}
-
-TEST(WarmMaronna, ReestimateFallsBackOnBadSeed) {
-  const auto stream = golden_stream(2, 60, 11);
-  std::vector<double> x, y;
-  for (const auto& r : stream) {
-    x.push_back(r[0]);
-    y.push_back(r[1]);
-  }
-  const auto cold = maronna_estimate(x.data(), y.data(), x.size());
-
-  MaronnaResult bad;  // default: not converged, zero scatter
-  const auto fell_back = maronna_reestimate(x.data(), y.data(), x.size(), bad);
-  EXPECT_DOUBLE_EQ(fell_back.correlation, cold.correlation);
-
-  MaronnaResult poisoned = cold;
-  poisoned.scatter_xx = std::nan("");
-  const auto fell_back2 =
-      maronna_reestimate(x.data(), y.data(), x.size(), poisoned);
-  EXPECT_DOUBLE_EQ(fell_back2.correlation, cold.correlation);
-}
-
 TEST(MadIsZero, MatchesMedianDefinition) {
-  // A zero MAD — the warm path's degeneracy test — must agree with "a strict
-  // majority of values coincide".
+  // A zero MAD — the test that engages the cold start's dispersion floor —
+  // must agree with "a strict majority of values coincide".
   MaronnaScratch scratch;
   const auto mad_is_zero = [&](const std::vector<double>& v) {
     return robust_scale(v.data(), v.size(), scratch).mad == 0.0;
@@ -217,51 +138,13 @@ TEST(UnwrapAll, MatchesCopyWindowForEverySymbol) {
   }
 }
 
-TEST(MarketCorrSeries, WarmMatchesColdWithinTolerance) {
-  // End-to-end through the backtester's Approach-3 series: warm and cold
-  // Maronna series agree within the tolerance contract, and Pearson series
-  // are identical.
-  constexpr std::size_t symbols = 4;
-  const auto stream = golden_stream(symbols, 260, 19);
-  // Convert the return stream into a fake BAM price matrix: prices with the
-  // given log-returns.
-  std::vector<std::vector<double>> bam(symbols,
-                                       std::vector<double>(stream.size() + 1, 0.0));
-  for (std::size_t i = 0; i < symbols; ++i) {
-    bam[i][0] = 100.0;
-    for (std::size_t s = 0; s < stream.size(); ++s)
-      bam[i][s + 1] = bam[i][s] * std::exp(stream[s][i]);
-  }
-
-  // Window 40 keeps the 15-step outlier burst at 37.5% contamination —
-  // below the bivariate M-estimator's breakdown point, where the fixed
-  // point is unique. (At >=50% contamination warm and cold starts can land
-  // in different, equally valid fixed points; see DESIGN.md.)
-  stats::MaronnaConfig tight;
-  tight.tolerance = 1e-12;
-  tight.max_iterations = 2000;
-  const auto cold = core::compute_market_corr_series(bam, 40, true, tight,
-                                                     /*warm_maronna=*/false);
-  const auto warm = core::compute_market_corr_series(bam, 40, true, tight,
-                                                     /*warm_maronna=*/true);
-  ASSERT_EQ(cold.maronna.size(), warm.maronna.size());
-  for (std::size_t k = 0; k < cold.maronna.size(); ++k) {
-    for (std::size_t s = 0; s < cold.maronna[k].size(); ++s) {
-      ASSERT_NEAR(warm.maronna[k][s], cold.maronna[k][s], 1e-8)
-          << "pair " << k << " step " << s;
-      ASSERT_DOUBLE_EQ(warm.pearson[k][s], cold.pearson[k][s]);
-    }
-  }
-}
-
-TEST(ParallelEngine, WarmStartMatchesSerialAcrossRankCounts) {
-  // Warm state is per pair and the shards are deterministic, so the parallel
-  // engine must produce identical vectors under any rank count.
+TEST(ParallelEngine, MaronnaMatchesSerialAcrossRankCounts) {
+  // Every Maronna estimate depends only on its pair's windows, so the
+  // parallel engine must produce identical vectors under any rank count.
   constexpr std::size_t symbols = 6;
   CorrEngineConfig cfg;
   cfg.type = Ctype::maronna;
   cfg.window = 15;
-  cfg.warm_start = true;
   const auto stream = golden_stream(symbols, 60, 23);
 
   CorrelationCalculator serial(cfg, symbols);

@@ -1,12 +1,18 @@
-// Tests for the §V experiment framework: structure, determinism, and
-// serial/parallel equivalence.
+// Tests for the §V experiment framework: structure, determinism, a pinned
+// golden, serial/parallel equivalence, agreement with the direct per-pair
+// backtest, and the report's verdicts on the paper's claims.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
+#include "common/strings.hpp"
+#include "core/backtester.hpp"
 #include "core/experiment.hpp"
+#include "core/metrics.hpp"
 #include "core/report.hpp"
+#include "marketdata/bars.hpp"
 
 namespace mm::core {
 namespace {
@@ -96,6 +102,112 @@ TEST(Experiment, SeedChangesResults) {
   EXPECT_TRUE(any_different);
 }
 
+ExperimentConfig experiment_golden_config() {
+  ExperimentConfig cfg;
+  cfg.symbols = 6;  // 15 pairs
+  cfg.days = 3;
+  cfg.keep_level_detail = true;
+  return cfg;
+}
+
+// Every measure and level-detail entry in hex-float (equal text means equal
+// bits), one line per (measure, Ctype[, level]), then the counters.
+std::string dump(const ExperimentResult& r) {
+  static const char* names[] = {"Pearson", "Maronna", "Combined"};
+  std::string out;
+  const auto line = [&](const std::string& label, const std::vector<double>& v) {
+    out += label + ":";
+    for (double x : v) out += format(" %a", x);
+    out += "\n";
+  };
+  for (std::size_t c = 0; c < 3; ++c) {
+    line(format("return %s", names[c]), r.monthly_return_plus1[c]);
+    line(format("drawdown %s", names[c]), r.max_daily_drawdown[c]);
+    line(format("winloss %s", names[c]), r.win_loss[c]);
+  }
+  for (std::size_t c = 0; c < 3; ++c)
+    for (std::size_t l = 0; l < r.level_win_loss[c].size(); ++l) {
+      line(format("L%zu return %s", l + 1, names[c]), r.level_monthly_return_plus1[c][l]);
+      line(format("L%zu drawdown %s", l + 1, names[c]), r.level_max_daily_drawdown[c][l]);
+      line(format("L%zu winloss %s", l + 1, names[c]), r.level_win_loss[c][l]);
+    }
+  out += format("trades %llu quotes %zu dropped %zu\n",
+                static_cast<unsigned long long>(r.total_trades), r.quotes_processed,
+                r.quotes_dropped);
+  return out;
+}
+
+const char* const kGolden =
+#include "experiment_golden.inc"
+    ;
+
+// Line-by-line comparison against the golden, so a mismatch names its row.
+void expect_golden(const ExperimentResult& result, const std::string& what) {
+  std::istringstream want(std::string(kGolden).substr(1));  // drop leading '\n'
+  std::istringstream got(dump(result));
+  std::string w, g;
+  std::size_t lines = 0;
+  while (std::getline(want, w)) {
+    ASSERT_TRUE(static_cast<bool>(std::getline(got, g))) << what << ": output too short";
+    EXPECT_EQ(g, w) << what << ", line " << lines + 1;
+    ++lines;
+  }
+  EXPECT_FALSE(static_cast<bool>(std::getline(got, g))) << what << ": output too long";
+  EXPECT_EQ(lines, 9u + 3u * 3u * 14u + 1u);
+}
+
+TEST(Experiment, MatchesPinnedGoldenBitwise) {
+  expect_golden(run_experiment(experiment_golden_config()), "serial");
+}
+
+TEST(Experiment, ParallelMatchesPinnedGoldenForEveryRankCount) {
+  // Four ranks over three days leaves rank 3 idle: it contributes no days.
+  auto cfg = experiment_golden_config();
+  for (int ranks = 1; ranks <= 4; ++ranks) {
+    cfg.ranks = ranks;
+    expect_golden(run_experiment_parallel(cfg), format("%d ranks", ranks));
+  }
+}
+
+TEST(Experiment, SweepCellMatchesDirectBacktest) {
+  // One day of the sweep, one level, every Ctype and pair: the PairBook
+  // replay must equal compute_market_corr_series + run_pair_day.
+  auto cfg = experiment_golden_config();
+  cfg.days = 1;
+  cfg.first_day_index = 4;
+  const auto result = run_experiment(cfg);
+
+  const std::size_t level = 5;
+  const auto& levels = cfg.grid.levels();
+  const md::Universe universe = md::make_universe(cfg.symbols);
+  const md::SyntheticDay day(universe, cfg.generator, cfg.first_day_index);
+  md::QuoteCleaner cleaner(cfg.symbols, cfg.cleaner);
+  const auto bam = md::sample_bam_series(cleaner.clean(day.quotes()), cfg.symbols,
+                                         cfg.generator.session, levels[level].delta_s);
+  const auto series = compute_market_corr_series(bam, levels[level].corr_window,
+                                                 /*need_maronna=*/true, cfg.maronna);
+  const auto pairs = stats::all_pairs(cfg.symbols);
+
+  std::size_t trades = 0;
+  for (std::size_t c = 0; c < 3; ++c) {
+    StrategyParams params = levels[level];
+    params.ctype = stats::all_ctypes[c];
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      std::vector<double> returns;
+      for (const auto& t : run_pair_day(params, bam[pairs[p].i], bam[pairs[p].j], series, p))
+        returns.push_back(t.trade_return);
+      trades += returns.size();
+      const std::vector<double> daily = {cumulative_return(returns)};
+      EXPECT_EQ(result.level_monthly_return_plus1[c][level][p],
+                cumulative_return(daily) + 1.0)
+          << stats::to_string(params.ctype) << " pair " << p;
+      EXPECT_EQ(result.level_max_daily_drawdown[c][level][p], max_drawdown(daily));
+      EXPECT_EQ(result.level_win_loss[c][level][p], win_loss(returns).ratio());
+    }
+  }
+  EXPECT_GT(trades, 0u);
+}
+
 TEST(Report, TablesRenderAllRows) {
   const auto result = run_experiment(tiny_config());
   const auto table3 = render_table(result, Measure::monthly_return, true, false);
@@ -143,6 +255,66 @@ TEST(Report, PaperReferencesNonEmpty) {
     EXPECT_FALSE(paper_reference(m).empty());
     EXPECT_NE(paper_reference(m).find("paper"), std::string::npos);
   }
+}
+
+// A two-pair result whose per-treatment samples are given directly, indexed
+// by Ctype (Pearson, Maronna, Combined).
+ExperimentResult hand_built(const std::array<std::vector<double>, 3>& returns,
+                            const std::array<std::vector<double>, 3>& drawdowns,
+                            const std::array<std::vector<double>, 3>& win_loss) {
+  ExperimentResult r;
+  r.pair_count = returns[0].size();
+  r.monthly_return_plus1 = returns;
+  r.max_daily_drawdown = drawdowns;
+  r.win_loss = win_loss;
+  return r;
+}
+
+std::vector<bool> holds(const ExperimentResult& r, Measure m) {
+  std::vector<bool> out;
+  for (const auto& v : shape_verdicts(r, m)) out.push_back(v.holds);
+  return out;
+}
+
+TEST(Report, VerdictsFollowTheMeasuredOrderings) {
+  // Pearson: highest mean; Combined: tightest spread; Maronna: one far
+  // outlier for the fattest tail. Drawdowns: Pearson lowest, Maronna highest.
+  // Win-loss: Combined highest.
+  const std::vector<double> flat = {1.10, 1.10, 1.10, 1.10, 1.10};
+  const auto agree = hand_built(
+      {std::vector<double>{1.30, 1.10, 1.40, 1.20, 1.25},
+       std::vector<double>{1.00, 1.01, 1.02, 1.03, 1.60},
+       std::vector<double>{1.10, 1.11, 1.12, 1.11, 1.10}},
+      {std::vector<double>{0.01, 0.01, 0.01, 0.01, 0.01},
+       std::vector<double>{0.03, 0.03, 0.03, 0.03, 0.03},
+       std::vector<double>{0.02, 0.02, 0.02, 0.02, 0.02}},
+      {flat, flat, std::vector<double>{1.20, 1.20, 1.20, 1.20, 1.20}});
+  EXPECT_EQ(holds(agree, Measure::monthly_return),
+            (std::vector<bool>{true, true, true, true}));
+  EXPECT_EQ(holds(agree, Measure::max_daily_drawdown), (std::vector<bool>{true, true}));
+  EXPECT_EQ(holds(agree, Measure::win_loss), (std::vector<bool>{true}));
+
+  // Swap the treatments around so every claim fails; ties fail too.
+  const auto disagree = hand_built(
+      {agree.monthly_return_plus1[1], agree.monthly_return_plus1[0],
+       agree.monthly_return_plus1[0]},
+      {agree.max_daily_drawdown[1], agree.max_daily_drawdown[0],
+       agree.max_daily_drawdown[2]},
+      {flat, flat, flat});
+  EXPECT_EQ(holds(disagree, Measure::monthly_return),
+            (std::vector<bool>{false, false, false, false}));
+  EXPECT_EQ(holds(disagree, Measure::max_daily_drawdown),
+            (std::vector<bool>{false, false}));
+  EXPECT_EQ(holds(disagree, Measure::win_loss), (std::vector<bool>{false}));
+
+  const auto text = render_verdicts(agree, Measure::max_daily_drawdown);
+  EXPECT_NE(text.find("✔ Pearson has the lowest mean: Maronna 3.0000%, "
+                      "Pearson 1.0000%, Combined 2.0000%"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(render_verdicts(disagree, Measure::win_loss)
+                .find("✘ Combined has the highest mean"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -252,6 +252,45 @@ TEST(PairBook, MatchesReferenceAcrossRunningSumRebuilds) {
   EXPECT_GT(d.trades, 1000u);
 }
 
+TEST(PairBook, ClearTradesKeepsEveryEventAndTrade) {
+  // A book that forgets its trades after every step reports the same events
+  // and the same closed trades, each indexed from the last clear.
+  const auto params = small_params();
+  constexpr std::int64_t smax = 400;
+  const auto pairs = stats::all_pairs(kSymbols);
+  PairBook kept(params, smax, kSymbols, pairs);
+  PairBook cleared(params, smax, kSymbols, pairs);
+  Market market(kSymbols, pairs.size(), 17);
+  std::size_t closes = 0;
+  const auto compare = [&](std::int64_t s) {
+    ASSERT_EQ(cleared.events().size(), kept.events().size()) << "s=" << s;
+    for (std::size_t e = 0; e < kept.events().size(); ++e) {
+      const auto& a = kept.events()[e];
+      const auto& b = cleared.events()[e];
+      ASSERT_EQ(b.pair, a.pair) << "s=" << s;
+      ASSERT_EQ(b.trade == PairBook::kOpened, a.trade == PairBook::kOpened) << "s=" << s;
+      if (a.trade == PairBook::kOpened) continue;
+      EXPECT_EQ(hex(cleared.trades()[b.trade]), hex(kept.trades()[a.trade])) << "s=" << s;
+      ++closes;
+    }
+    EXPECT_EQ(cleared.trades().size(), cleared.trades_by_pair().size());
+    cleared.clear_trades();
+    EXPECT_TRUE(cleared.trades().empty());
+  };
+  for (std::int64_t s = 0; s < smax; ++s) {
+    market.advance();
+    kept.step(s, market.prices().data(), market.corr().data(), s >= 10);
+    cleared.step(s, market.prices().data(), market.corr().data(), s >= 10);
+    compare(s);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  kept.finish();
+  cleared.finish();
+  compare(smax);
+  EXPECT_EQ(closes, kept.trades().size());
+  EXPECT_GT(closes, 0u);
+}
+
 TEST(PairBook, StateBytesWithinPerPairAndPerSymbolBound) {
   for (const std::size_t n : {12u, 250u}) {
     for (const std::int64_t w : {60, 120}) {

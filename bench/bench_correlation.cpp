@@ -120,24 +120,6 @@ void BM_MatrixStepPearson(benchmark::State& state) {
 }
 BENCHMARK(BM_MatrixStepPearson)->Arg(10)->Arg(20)->Arg(61);
 
-void BM_MatrixStepMaronna(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  CorrEngineConfig cfg;
-  cfg.type = Ctype::maronna;
-  cfg.window = 100;
-  CorrelationCalculator calc(cfg, n);
-  const auto stream = factor_stream(n, 160, 5);
-  for (const auto& r : stream) calc.push(r);
-  std::size_t next = 0;
-  for (auto _ : state) {
-    calc.push(stream[next]);
-    next = (next + 1) % stream.size();
-    benchmark::DoNotOptimize(calc.matrix());
-  }
-  state.SetItemsProcessed(state.iterations() * (n * (n - 1) / 2));
-}
-BENCHMARK(BM_MatrixStepMaronna)->Arg(10)->Arg(20);
-
 // Full-matrix Maronna step at the paper's full scale (n up to 61 symbols,
 // M = 120): the headline Maronna numbers for BENCH_corr.json.
 void BM_MatrixStepMaronnaCold(benchmark::State& state) {

@@ -5,9 +5,8 @@
 //   BM_Transport*     — the intra-process transport hot path over persistent
 //                       worlds: per-message cost, blocking round-trip
 //                       percentiles, saturation throughput and allocation
-//                       counts, for the lock-free ring path and the locked
-//                       fallback. `scripts/bench_json.sh` emits exactly
-//                       this family into BENCH_mpmini.json.
+//                       counts. `scripts/bench_json.sh` emits exactly this
+//                       family into BENCH_mpmini.json.
 //   everything else   — macro benchmarks over Environment::run (world spawn,
 //                       collectives), which measure coordination rather than
 //                       transport cost.
@@ -16,9 +15,8 @@
 // round trips are floored by two scheduler handoffs (see
 // BM_TransportNullHandoff, ~1.2 us on the reference container), which no
 // transport can remove; the transport-attributable overhead is the round trip
-// minus that floor, plus the allocs_per_msg counter, where the ring path's
-// advantage (zero allocations, no mutex, no futex wake per message) shows
-// directly.
+// minus that floor, plus the allocs_per_msg counter (zero on the ring path:
+// no allocation, no mutex, no futex wake per message).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -82,8 +80,8 @@ void report_percentiles(benchmark::State& state, std::vector<double>& samples) {
 // no scheduler involvement, so this is the per-message transport overhead in
 // isolation (envelope handling, matching, synchronization, allocation).
 
-void BM_TransportSelfLoop(benchmark::State& state, TransportMode mode) {
-  World world(1, mode);
+void BM_TransportSelfLoop(benchmark::State& state) {
+  World world(1);
   Comm comm(&world, world.allocate_comm_id(), 0, {0});
   std::vector<std::uint8_t> payload(8, 0x5a);
   for (int i = 0; i < 512; ++i) {  // warm lanes, pool, buffer capacity
@@ -101,10 +99,7 @@ void BM_TransportSelfLoop(benchmark::State& state, TransportMode mode) {
       static_cast<double>(a1 - a0) / static_cast<double>(state.iterations());
 }
 
-BENCHMARK_CAPTURE(BM_TransportSelfLoop, ring, TransportMode::ring)
-    ->Iterations(100000);
-BENCHMARK_CAPTURE(BM_TransportSelfLoop, locked, TransportMode::locked)
-    ->Iterations(100000);
+BENCHMARK(BM_TransportSelfLoop)->Iterations(100000);
 
 // --- transport: blocking pingpong over a persistent world --------------------
 // Real two-thread round trips with both sides blocking, the regime a DAG
@@ -132,8 +127,8 @@ void run_pingpong(benchmark::State& state, const std::function<void()>& once) {
   report_percentiles(state, samples);
 }
 
-void BM_TransportPingPong(benchmark::State& state, TransportMode mode) {
-  World world(2, mode);
+void BM_TransportPingPong(benchmark::State& state) {
+  World world(2);
   const std::uint64_t comm_id = world.allocate_comm_id();
   std::thread echo([&] {
     Comm comm(&world, comm_id, 1, {0, 1});
@@ -158,12 +153,7 @@ void BM_TransportPingPong(benchmark::State& state, TransportMode mode) {
   echo.join();
 }
 
-BENCHMARK_CAPTURE(BM_TransportPingPong, ring, TransportMode::ring)
-    ->Iterations(kPingPongIters)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_TransportPingPong, locked, TransportMode::locked)
-    ->Iterations(kPingPongIters)
-    ->UseRealTime();
+BENCHMARK(BM_TransportPingPong)->Iterations(kPingPongIters)->UseRealTime();
 
 // --- transport: the scheduler floor ------------------------------------------
 // Two threads bounce one atomic token with a yield loop — no transport at
@@ -200,8 +190,8 @@ BENCHMARK(BM_TransportNullHandoff)->Iterations(kPingPongIters)->UseRealTime();
 
 constexpr int kStreamBatch = 8192;
 
-void BM_TransportStream(benchmark::State& state, TransportMode mode) {
-  World world(2, mode);
+void BM_TransportStream(benchmark::State& state) {
+  World world(2);
   const std::uint64_t comm_id = world.allocate_comm_id();
   std::thread sink([&] {
     Comm comm(&world, comm_id, 1, {0, 1});
@@ -228,12 +218,7 @@ void BM_TransportStream(benchmark::State& state, TransportMode mode) {
       static_cast<double>(a1 - a0) / static_cast<double>(msgs);
 }
 
-BENCHMARK_CAPTURE(BM_TransportStream, ring, TransportMode::ring)
-    ->Iterations(40)
-    ->UseRealTime();
-BENCHMARK_CAPTURE(BM_TransportStream, locked, TransportMode::locked)
-    ->Iterations(40)
-    ->UseRealTime();
+BENCHMARK(BM_TransportStream)->Iterations(40)->UseRealTime();
 
 // --- macro benchmarks over Environment::run ----------------------------------
 

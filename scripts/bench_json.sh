@@ -15,8 +15,7 @@
 #   mpmini  BENCH_mpmini.json  the BM_Transport family: self-loop per-message
 #                              cost, blocking pingpong p50/p95/p99 and allocs
 #                              per round trip, saturation streaming and the
-#                              null-handoff scheduler floor, for the ring and
-#                              locked transports.
+#                              null-handoff scheduler floor.
 #   svc     BENCH_svc.json     backtest service: cold vs memoized 4-paramset
 #                              sweeps and the warm CorrStore/DayCache acquires.
 #   wire    BENCH_wire.json    mmq wire format: quote parse throughput
@@ -24,6 +23,8 @@
 #                              straddle path, encode throughput and loopback
 #                              TCP day fetches.
 #
+# Each benchmark runs 3 times and the file keeps the aggregates (mean,
+# median, stddev, cv), so a reader can tell a change from run-to-run drift.
 # Each file's "context" records the host it ran on: nproc, the CPU model and
 # the CPU flags.
 # Usage: scripts/bench_json.sh [build-dir] [suite...]
@@ -55,6 +56,7 @@ context="nproc=$(nproc),cpu_model=$(cpu_field 'model name'),cpu_flags=$(cpu_fiel
 for s in "${suites[@]}"; do
   out="$repo_root/BENCH_$s.json"
   args=(--benchmark_out="$out" --benchmark_out_format=json
+        --benchmark_repetitions=3 --benchmark_report_aggregates_only=true
         --benchmark_context="$context")
   [ -z "${filter[$s]:-}" ] || args+=(--benchmark_filter="${filter[$s]}")
   (cd "$build_dir/bench" && "./${binary[$s]}" "${args[@]}")

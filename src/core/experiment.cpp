@@ -59,20 +59,25 @@ DayOutput run_day(const ExperimentConfig& config, const md::Universe& universe,
   const std::int64_t delta_s = levels.front().delta_s;
   for (const auto& level : levels) MM_ASSERT(level.delta_s == delta_s);
 
-  const md::SyntheticDay day(universe, config.generator,
-                             config.first_day_index + day_index);
-  md::QuoteCleaner cleaner(n, config.cleaner);
-  const auto cleaned = cleaner.clean(day.quotes());
-  const auto bam =
-      md::sample_bam_series(cleaned, n, config.generator.session, delta_s);
+  DayOutput out;
+  out.day = day_index;
+  std::vector<std::vector<double>> bam;
+  {
+    // The raw and cleaned quotes only feed the BAM series: release them
+    // before the sweep, where the day spends its time, so ranks sweeping
+    // side by side do not each hold a day of quotes.
+    const md::SyntheticDay day(universe, config.generator,
+                               config.first_day_index + day_index);
+    md::QuoteCleaner cleaner(n, config.cleaner);
+    const auto cleaned = cleaner.clean(day.quotes());
+    bam = md::sample_bam_series(cleaned, n, config.generator.session, delta_s);
+    out.quotes_processed = day.quotes().size();
+    out.quotes_dropped = day.quotes().size() - cleaned.size();
+  }
   const auto smax = static_cast<std::int64_t>(bam[0].size());
   std::vector<std::vector<double>> returns(n);
   for (std::size_t i = 0; i < n; ++i) returns[i] = md::log_returns(bam[i]);
 
-  DayOutput out;
-  out.day = day_index;
-  out.quotes_processed = day.quotes().size();
-  out.quotes_dropped = day.quotes().size() - cleaned.size();
   out.cells.resize(n_ctypes * n_levels * pairs.size());
 
   std::vector<double> prices(n), step_returns(n), combined(pairs.size());
@@ -137,107 +142,128 @@ DayOutput run_day(const ExperimentConfig& config, const md::Universe& universe,
   return out;
 }
 
-std::vector<std::uint8_t> pack_days(const std::vector<DayOutput>& days) {
-  mpi::Packer packer;
-  packer.put<std::uint64_t>(days.size());
-  for (const auto& d : days) {
-    packer.put(d.day);
-    packer.put(d.trades);
-    packer.put(d.quotes_processed);
-    packer.put(d.quotes_dropped);
-    packer.put_vector(d.cells);
-  }
-  return packer.take();
+void pack_day(mpi::Packer& packer, const DayOutput& d) {
+  packer.put(d.day);
+  packer.put(d.trades);
+  packer.put(d.quotes_processed);
+  packer.put(d.quotes_dropped);
+  packer.put_vector(d.cells);
 }
 
-void unpack_days(const std::vector<std::uint8_t>& bytes, std::vector<DayOutput>& by_day) {
-  mpi::Unpacker unpacker(bytes);
-  const auto count = unpacker.get<std::uint64_t>();
-  for (std::uint64_t k = 0; k < count; ++k) {
-    DayOutput d;
-    d.day = unpacker.get<std::int32_t>();
-    d.trades = unpacker.get<std::uint64_t>();
-    d.quotes_processed = unpacker.get<std::uint64_t>();
-    d.quotes_dropped = unpacker.get<std::uint64_t>();
-    d.cells = unpacker.get_vector<DayCell>();
-    by_day.at(static_cast<std::size_t>(d.day)) = std::move(d);
-  }
-}
+// The month as it accumulates, one day at a time and in any day order: per
+// (ctype, level, pair) cell its daily returns, flat [cell][day], and its
+// win/loss counts. finish() turns it into the paper's measures, averaged
+// over levels.
+class MonthFold {
+ public:
+  explicit MonthFold(const ExperimentConfig& config)
+      : config_(config),
+        days_(static_cast<std::size_t>(config.days)),
+        wl_(n_ctypes * config.grid.levels().size() *
+            stats::all_pairs(config.symbols).size()),
+        daily_returns_(wl_.size() * days_, 0.0) {}
 
-// Fold the days, in day order, into the paper's measures: per (ctype, level,
-// pair) the month's daily returns and win/loss counts, then the average over
-// levels.
-ExperimentResult merge_days(const ExperimentConfig& config,
-                            const std::vector<DayOutput>& days) {
-  const md::Universe universe = md::make_universe(config.symbols);
-  const auto pairs = stats::all_pairs(config.symbols);
-  const std::size_t n_pairs = pairs.size();
-  const std::size_t n_levels = config.grid.levels().size();
-
-  ExperimentResult result;
-  result.symbols = config.symbols;
-  result.pair_count = n_pairs;
-  result.days = config.days;
-  result.pair_names.reserve(n_pairs);
-  for (const auto& pr : pairs)
-    result.pair_names.push_back(universe.table.name(pr.i) + "/" +
-                                universe.table.name(pr.j));
-
-  std::vector<std::vector<double>> daily_returns(n_ctypes * n_levels * n_pairs);
-  std::vector<WinLoss> wl(daily_returns.size());
-  for (const auto& d : days) {
-    MM_ASSERT(d.cells.size() == daily_returns.size());
-    result.total_trades += d.trades;
-    result.quotes_processed += d.quotes_processed;
-    result.quotes_dropped += d.quotes_dropped;
+  void add(const DayOutput& d) {
+    MM_ASSERT(d.cells.size() == wl_.size());
+    const auto day = static_cast<std::size_t>(d.day);
+    MM_ASSERT(day < days_);
+    trades_ += d.trades;
+    quotes_processed_ += d.quotes_processed;
+    quotes_dropped_ += d.quotes_dropped;
     for (std::size_t q = 0; q < d.cells.size(); ++q) {
-      daily_returns[q].push_back(d.cells[q].wealth - 1.0);
-      wl[q].merge(d.cells[q].wl);
+      daily_returns_[q * days_ + day] = d.cells[q].wealth - 1.0;
+      wl_[q].merge(d.cells[q].wl);
     }
   }
 
-  for (std::size_t c = 0; c < n_ctypes; ++c) {
-    result.monthly_return_plus1[c].assign(n_pairs, 0.0);
-    result.max_daily_drawdown[c].assign(n_pairs, 0.0);
-    result.win_loss[c].assign(n_pairs, 0.0);
-    if (config.keep_level_detail) {
-      result.level_monthly_return_plus1[c].assign(n_levels, std::vector<double>(n_pairs));
-      result.level_max_daily_drawdown[c].assign(n_levels, std::vector<double>(n_pairs));
-      result.level_win_loss[c].assign(n_levels, std::vector<double>(n_pairs));
-    }
-    for (std::size_t p = 0; p < n_pairs; ++p) {
-      double sum_ret = 0.0, sum_mdd = 0.0, sum_wl = 0.0;
-      for (std::size_t l = 0; l < n_levels; ++l) {
-        const std::size_t q = (c * n_levels + l) * n_pairs + p;
-        const double ret = cumulative_return(daily_returns[q]) + 1.0;
-        const double mdd = max_drawdown(daily_returns[q]);
-        const double ratio = wl[q].ratio();
-        if (config.keep_level_detail) {
-          result.level_monthly_return_plus1[c][l][p] = ret;
-          result.level_max_daily_drawdown[c][l][p] = mdd;
-          result.level_win_loss[c][l][p] = ratio;
-        }
-        sum_ret += ret;
-        sum_mdd += mdd;
-        sum_wl += ratio;
-      }
-      const auto nl = static_cast<double>(n_levels);
-      result.monthly_return_plus1[c][p] = sum_ret / nl;
-      result.max_daily_drawdown[c][p] = sum_mdd / nl;
-      result.win_loss[c][p] = sum_wl / nl;
+  // Every pack_day record in `bytes`, folded through one reused DayOutput.
+  void add_packed(const std::vector<std::uint8_t>& bytes) {
+    mpi::Unpacker unpacker(bytes);
+    while (unpacker.remaining() > 0) {
+      scratch_.day = unpacker.get<std::int32_t>();
+      scratch_.trades = unpacker.get<std::uint64_t>();
+      scratch_.quotes_processed = unpacker.get<std::uint64_t>();
+      scratch_.quotes_dropped = unpacker.get<std::uint64_t>();
+      unpacker.get_vector_into(scratch_.cells);
+      add(scratch_);
     }
   }
-  return result;
-}
+
+  ExperimentResult finish() const {
+    const md::Universe universe = md::make_universe(config_.symbols);
+    const auto pairs = stats::all_pairs(config_.symbols);
+    const std::size_t n_pairs = pairs.size();
+    const std::size_t n_levels = config_.grid.levels().size();
+
+    ExperimentResult result;
+    result.symbols = config_.symbols;
+    result.pair_count = n_pairs;
+    result.days = config_.days;
+    result.total_trades = trades_;
+    result.quotes_processed = quotes_processed_;
+    result.quotes_dropped = quotes_dropped_;
+    result.pair_names.reserve(n_pairs);
+    for (const auto& pr : pairs)
+      result.pair_names.push_back(universe.table.name(pr.i) + "/" +
+                                  universe.table.name(pr.j));
+
+    std::vector<double> series(days_);
+    for (std::size_t c = 0; c < n_ctypes; ++c) {
+      result.monthly_return_plus1[c].assign(n_pairs, 0.0);
+      result.max_daily_drawdown[c].assign(n_pairs, 0.0);
+      result.win_loss[c].assign(n_pairs, 0.0);
+      if (config_.keep_level_detail) {
+        result.level_monthly_return_plus1[c].assign(n_levels, std::vector<double>(n_pairs));
+        result.level_max_daily_drawdown[c].assign(n_levels, std::vector<double>(n_pairs));
+        result.level_win_loss[c].assign(n_levels, std::vector<double>(n_pairs));
+      }
+      for (std::size_t p = 0; p < n_pairs; ++p) {
+        double sum_ret = 0.0, sum_mdd = 0.0, sum_wl = 0.0;
+        for (std::size_t l = 0; l < n_levels; ++l) {
+          const std::size_t q = (c * n_levels + l) * n_pairs + p;
+          const auto first = daily_returns_.begin() +
+                             static_cast<std::ptrdiff_t>(q * days_);
+          series.assign(first, first + static_cast<std::ptrdiff_t>(days_));
+          const double ret = cumulative_return(series) + 1.0;
+          const double mdd = max_drawdown(series);
+          const double ratio = wl_[q].ratio();
+          if (config_.keep_level_detail) {
+            result.level_monthly_return_plus1[c][l][p] = ret;
+            result.level_max_daily_drawdown[c][l][p] = mdd;
+            result.level_win_loss[c][l][p] = ratio;
+          }
+          sum_ret += ret;
+          sum_mdd += mdd;
+          sum_wl += ratio;
+        }
+        const auto nl = static_cast<double>(n_levels);
+        result.monthly_return_plus1[c][p] = sum_ret / nl;
+        result.max_daily_drawdown[c][p] = sum_mdd / nl;
+        result.win_loss[c][p] = sum_wl / nl;
+      }
+    }
+    return result;
+  }
+
+ private:
+  const ExperimentConfig& config_;
+  std::size_t days_;
+  std::vector<WinLoss> wl_;             // [cell]
+  std::vector<double> daily_returns_;   // [cell][day]
+  std::uint64_t trades_ = 0;
+  std::uint64_t quotes_processed_ = 0;
+  std::uint64_t quotes_dropped_ = 0;
+  DayOutput scratch_;
+};
 
 }  // namespace
 
 ExperimentResult run_experiment(const ExperimentConfig& config) {
   Stopwatch watch;
   const md::Universe universe = md::make_universe(config.symbols);
-  std::vector<DayOutput> days;
-  for (int d = 0; d < config.days; ++d) days.push_back(run_day(config, universe, d));
-  auto result = merge_days(config, days);
+  MonthFold month(config);
+  for (int d = 0; d < config.days; ++d) month.add(run_day(config, universe, d));
+  auto result = month.finish();
   result.wall_seconds = watch.elapsed_seconds();
   return result;
 }
@@ -248,18 +274,21 @@ ExperimentResult run_experiment_parallel(const ExperimentConfig& config) {
 
   ExperimentResult result;
   mpi::Environment::run(config.ranks, [&](mpi::Comm& comm) {
-    // Static shard: day d -> rank d % size. A rank past the last day sends
-    // an empty list.
+    // Static shard: day d -> rank d % size. Each day is packed as soon as it
+    // is done; a rank past the last day sends an empty buffer.
     const md::Universe universe = md::make_universe(config.symbols);
-    std::vector<DayOutput> mine;
+    mpi::Packer packer;
     for (int d = comm.rank(); d < config.days; d += comm.size())
-      mine.push_back(run_day(config, universe, d));
+      pack_day(packer, run_day(config, universe, d));
 
-    const auto gathered = comm.gather_bytes(pack_days(mine), 0);
+    auto gathered = comm.gather_bytes(packer.take(), 0);
     if (comm.rank() == 0) {
-      std::vector<DayOutput> days(static_cast<std::size_t>(config.days));
-      for (const auto& bytes : gathered) unpack_days(bytes, days);
-      result = merge_days(config, days);
+      MonthFold month(config);
+      for (auto& bytes : gathered) {
+        month.add_packed(bytes);
+        std::vector<std::uint8_t>().swap(bytes);  // release as we go
+      }
+      result = month.finish();
     }
   });
   result.wall_seconds = watch.elapsed_seconds();

@@ -83,9 +83,10 @@ struct ExperimentResult {
 ExperimentResult run_experiment(const ExperimentConfig& config);
 
 // Day-sharded parallel runner over `config.ranks` mpmini ranks: day d runs on
-// rank d % ranks, which generates only its own days, and rank 0 merges the
-// per-day results in day order. Every day is deterministic on its own, so
-// the output is identical to run_experiment under any rank count.
+// rank d % ranks, which generates only its own days, and rank 0 folds each
+// day into the month as it unpacks it. Every day is deterministic on its own
+// and lands in its own day slot, so the output is identical to
+// run_experiment under any rank count.
 ExperimentResult run_experiment_parallel(const ExperimentConfig& config);
 
 }  // namespace mm::core

@@ -23,7 +23,7 @@ struct InMessage {
   // Causal context the frame arrived with (invalid when untraced). recv()
   // installs it as the consuming thread's current context, so node code —
   // and every send it makes — inherits the causality of the frame that woke
-  // it. Field-free when MM_OBS_ENABLED=OFF.
+  // it.
   obs::TraceContext trace{};
 };
 

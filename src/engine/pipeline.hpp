@@ -128,10 +128,10 @@ struct PipelineResult {
   std::vector<dag::NodeStatus> faults;
 
   // Structured telemetry for THIS run: mpmini transport counters, per-node
-  // dagflow frame/stall/wall metrics, and engine stage histograms (empty when
-  // built with MM_OBS_ENABLED=OFF). When the caller shares one registry
-  // across days this is still per-run — a delta against the registry's state
-  // at run start — so back-to-back runs never bleed into each other.
+  // dagflow frame/stall/wall metrics, and engine stage histograms. When the
+  // caller shares one registry across days this is still per-run — a delta
+  // against the registry's state at run start — so back-to-back runs never
+  // bleed into each other.
   obs::Snapshot metrics;
 
   // Live-plane outcome: final per-rank liveness, merged crash entries and the

@@ -18,14 +18,7 @@ inline void bump(obs::Counter* counter, std::uint64_t n = 1) {
 }  // namespace
 
 World::World(int size)
-    // When the env picks the socket transport, a bare in-process World still
-    // needs working local delivery (Environment builds the socket world
-    // explicitly); fall back to rings for everything the env didn't route.
-    : World(size, transport_mode() == TransportMode::socket ? TransportMode::ring
-                                                            : transport_mode()) {}
-
-World::World(int size, TransportMode mode)
-    : World(size, std::make_unique<InProcessTransport>(size, mode)) {}
+    : World(size, std::make_unique<InProcessTransport>(size)) {}
 
 World::World(int size, std::unique_ptr<Transport> transport)
     : size_(size), transport_(std::move(transport)) {
@@ -92,7 +85,6 @@ void Comm::internal_send(int dest, int tag, std::vector<std::uint8_t> payload) {
   msg.comm_id = comm_id_;
   msg.sequence = send_seq_++;
   msg.payload = std::move(payload);
-#if MM_OBS_ENABLED
   // Causal header: when this thread has a trace ring and a live context,
   // stamp the context's trace id and a fresh flow id into the envelope so
   // the matching receive can emit the other half of the flow arrow. Idle
@@ -106,7 +98,6 @@ void Comm::internal_send(int dest, int tag, std::vector<std::uint8_t> payload) {
     msg.flow = send_flow = obs::next_span_id();
     send_t0 = obs::now_ns();
   }
-#endif
   const int dest_world = members_[static_cast<std::size_t>(dest)];
   const WorldObs& metrics = world_->metrics();
   bump(metrics.send_messages);
@@ -114,8 +105,8 @@ void Comm::internal_send(int dest, int tag, std::vector<std::uint8_t> payload) {
 
   const int src_world = members_[static_cast<std::size_t>(rank_)];
   // Hot-path transmit, delegated to the world's transport: a lane-ring push
-  // in ring mode (lock-free), the locked mailbox path otherwise, a serialized
-  // envelope over the peer's TCP link in socket mode.
+  // in process (lock-free), a serialized envelope over the peer's TCP link
+  // in socket mode.
   const auto transmit = [&](Message&& m) {
     world_->transmit(src_world, dest_world, std::move(m));
   };
@@ -138,18 +129,15 @@ void Comm::internal_send(int dest, int tag, std::vector<std::uint8_t> payload) {
     if (decision.duplicate) {
       bump(metrics.faults_duplicated);
       Message duplicate(msg);
-#if MM_OBS_ENABLED
       // The duplicate is a transport artifact, not a causal edge: strip its
       // trace header so the receiver doesn't emit a second flow finish (and
       // doesn't adopt a context) for the same logical send.
       duplicate.trace_id = 0;
       duplicate.flow = 0;
-#endif
       transmit(std::move(duplicate));
     }
   }
   transmit(std::move(msg));
-#if MM_OBS_ENABLED
   // Span + flow start are emitted only for messages that actually went out:
   // a fault-plan drop returns above and orphans no spans.
   if (send_t0 != 0) {
@@ -158,7 +146,6 @@ void Comm::internal_send(int dest, int tag, std::vector<std::uint8_t> payload) {
     // ts inside the send span so the viewer binds the arrow tail to it.
     thread_trace.ring->flow_start("msg", send_t0, send_flow);
   }
-#endif
 }
 
 void Comm::send(int dest, int tag, std::vector<std::uint8_t> payload) {
@@ -175,11 +162,9 @@ Request Comm::isend(int dest, int tag, std::vector<std::uint8_t> payload) {
 std::vector<std::uint8_t> Comm::recv(int source, int tag, RecvStatus* status) {
   fault_point();
   Mailbox& box = world_->mailbox(members_[static_cast<std::size_t>(rank_)]);
-#if MM_OBS_ENABLED
   obs::ThreadTrace& thread_trace = obs::thread_trace();
   const std::int64_t recv_t0 =
       thread_trace.ring != nullptr ? obs::now_ns() : 0;
-#endif
   // Fast path: stack ticket inside the mailbox, zero allocation per receive.
   Message msg = box.receive(comm_id_, source, tag);
   bump(world_->metrics().recv_messages);
@@ -188,12 +173,9 @@ std::vector<std::uint8_t> Comm::recv(int source, int tag, RecvStatus* status) {
     status->source = msg.source;
     status->tag = msg.tag;
     status->byte_count = msg.payload.size();
-#if MM_OBS_ENABLED
     status->trace_id = msg.trace_id;
     status->flow = msg.flow;
-#endif
   }
-#if MM_OBS_ENABLED
   if (recv_t0 != 0 && msg.trace_id != 0) {
     // The recv span covers the wait; the flow finish lands inside it and
     // closes the arrow the sender started.
@@ -201,7 +183,6 @@ std::vector<std::uint8_t> Comm::recv(int source, int tag, RecvStatus* status) {
     thread_trace.ring->complete("recv", recv_t0, dur);
     thread_trace.ring->flow_finish("msg", recv_t0, msg.flow);
   }
-#endif
   return std::move(msg.payload);
 }
 
@@ -210,11 +191,9 @@ Expected<std::vector<std::uint8_t>> Comm::recv_for(std::chrono::milliseconds tim
                                                    RecvStatus* status) {
   fault_point();
   Mailbox& box = world_->mailbox(members_[static_cast<std::size_t>(rank_)]);
-#if MM_OBS_ENABLED
   obs::ThreadTrace& thread_trace = obs::thread_trace();
   const std::int64_t recv_t0 =
       thread_trace.ring != nullptr ? obs::now_ns() : 0;
-#endif
   Message msg;
   // receive_for withdraws its (stack) ticket on timeout, so a message
   // arriving later stays available for future receives instead of being
@@ -229,18 +208,14 @@ Expected<std::vector<std::uint8_t>> Comm::recv_for(std::chrono::milliseconds tim
     status->source = msg.source;
     status->tag = msg.tag;
     status->byte_count = msg.payload.size();
-#if MM_OBS_ENABLED
     status->trace_id = msg.trace_id;
     status->flow = msg.flow;
-#endif
   }
-#if MM_OBS_ENABLED
   if (recv_t0 != 0 && msg.trace_id != 0) {
     const std::int64_t dur = std::max<std::int64_t>(obs::now_ns() - recv_t0, 1);
     thread_trace.ring->complete("recv", recv_t0, dur);
     thread_trace.ring->flow_finish("msg", recv_t0, msg.flow);
   }
-#endif
   return std::move(msg.payload);
 }
 

@@ -21,7 +21,6 @@
 #include "mpmini/message.hpp"
 #include "mpmini/request.hpp"
 #include "mpmini/transport.hpp"
-#include "mpmini/wait.hpp"
 #include "obs/registry.hpp"
 
 namespace mm::mpi {
@@ -41,19 +40,15 @@ struct WorldObs {
 
 class World {
  public:
-  // `mode` picks the intra-process transport: lock-free lane rings (default,
-  // or whatever MM_MPMINI_TRANSPORT says) or the legacy locked mailbox path
-  // (the bench's before/after baseline). Ring mode requires each world rank
-  // to SEND from a single thread (see Comm); the locked mode has no such
-  // restriction. A bare World never builds the socket transport — when the
-  // env selects it, Environment::run routes through run_rendezvous and
-  // injects a SocketTransport via the third constructor.
+  // World(size) moves messages between in-process ranks over lock-free lane
+  // rings, which requires each world rank to SEND from a single thread (see
+  // Comm). A bare World never builds the socket transport — when the env
+  // selects it, Environment::run routes through run_rendezvous and injects a
+  // SocketTransport via the second constructor.
   explicit World(int size);
-  World(int size, TransportMode mode);
   World(int size, std::unique_ptr<Transport> transport);
 
   int size() const { return size_; }
-  TransportMode transport() const { return transport_->mode(); }
   Transport& transport_layer() { return *transport_; }
   Mailbox& mailbox(int world_rank) { return transport_->mailbox(world_rank); }
   void transmit(int src_world, int dest_world, Message&& msg) {
@@ -90,13 +85,11 @@ class World {
 // One rank's handle on a communicator. Each rank thread owns its own Comm
 // instance; instances are cheap to copy (they share the World).
 //
-// Threading contract (ring transport, the default): all sends attributed to
-// one world rank — across every Comm built for that rank — must originate
-// from a single thread, because the rank's outbound lanes are
-// single-producer rings. Receives and probes on one rank may run from
-// multiple threads (the mailbox serializes them). Debug builds assert the
-// send-side rule; use TransportMode::locked (or MM_MPMINI_TRANSPORT=locked)
-// when a rank must send from several threads.
+// Threading contract: all sends attributed to one world rank — across every
+// Comm built for that rank — must originate from a single thread, because
+// the rank's outbound lanes are single-producer rings. Receives and probes
+// on one rank may run from multiple threads (the mailbox serializes them).
+// Debug builds assert the send-side rule.
 class Comm {
  public:
   // World communicator for `rank` (used by Environment).

@@ -43,7 +43,7 @@ Lane& Mailbox::lane_for_sender(int source_world_rank) {
   // the draining side.
   Lane* lane = slot.load(std::memory_order_relaxed);
   if (lane == nullptr) {
-    lane = new Lane(static_cast<std::size_t>(ring_capacity()), ring_peak_);
+    lane = new Lane(kRingCapacity, ring_peak_);
 #ifndef NDEBUG
     lane->producer = std::this_thread::get_id();
 #endif
@@ -53,8 +53,7 @@ Lane& Mailbox::lane_for_sender(int source_world_rank) {
   // A second sending thread on the same world rank would corrupt the SPSC
   // ring silently; fail loudly in debug builds instead.
   MM_ASSERT_MSG(lane->producer == std::this_thread::get_id(),
-                "ring transport: a world rank must send from a single thread "
-                "(use MM_MPMINI_TRANSPORT=locked for multi-threaded senders)");
+                "ring transport: a world rank must send from a single thread");
 #endif
   return *lane;
 }
@@ -222,7 +221,7 @@ void Mailbox::notify_ring_push() noexcept {
 bool Mailbox::block_on(RecvTicket& t, Clock::time_point deadline) {
   obs::Pulse& pulse = obs::pulse_this_thread();
   const SpinPolicy& sp = spin_policy();
-  if (lane_count_ > 0 && sp.enabled()) {
+  if (lane_count_ > 0) {
     for (std::uint32_t i = 0; i < sp.iterations; ++i) {
       if (t.done.load(std::memory_order_acquire)) return true;
       if (lanes_nonempty()) {
@@ -445,7 +444,7 @@ bool Mailbox::probe_for(std::uint64_t comm_id, int source, int tag,
 
   // Spin phase: poll the lanes for traffic before parking.
   const SpinPolicy& sp = spin_policy();
-  if (lane_count_ > 0 && sp.enabled()) {
+  if (lane_count_ > 0) {
     for (std::uint32_t i = 0; i < sp.iterations; ++i) {
       if (lanes_nonempty()) {
         std::lock_guard<std::mutex> lock(mutex_);

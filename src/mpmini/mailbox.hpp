@@ -8,7 +8,7 @@
 //     with per-lane FIFO delivery preserves per-(source, comm) non-overtaking;
 //   * among posted receives, the earliest-posted match wins.
 //
-// Transport layout (ring mode, the default — see wait.hpp for the knobs):
+// Transport layout (in-process worlds; see wait.hpp for the spin policy):
 //
 //   sender rank S ──SpscRing<Message>──▶ lane (S → R) ──drain──▶ Mailbox R
 //
@@ -27,9 +27,8 @@
 // lanes through a bounded spin (pause, then yield), and only then parks on
 // the condition variable after raising `parked_` — the eventcount handshake
 // senders check (one fence + one load on the hot path) before paying for a
-// wake. The legacy locked path (deliver()) remains both the overflow route
-// for full rings and the whole transport in "locked" mode, which the bench
-// uses as its before/after baseline.
+// wake. The locked path (deliver()) is the overflow route for a full ring and
+// the delivery route of the socket transport's reader threads.
 //
 // Probe/recv matching contract (the MPI_Mprobe problem): a blocking probe
 // RESERVES the message it reports for the probing thread. Reserved messages
@@ -120,8 +119,9 @@ class Mailbox {
 
   // --- delivery ---------------------------------------------------------
   // Deliver a message through the locked path: ring-overflow fallback,
-  // "locked" transport mode, and direct use in tests. Drains this mailbox's
-  // lanes first so a same-source message cannot overtake its ring backlog.
+  // socket-transport inbound traffic, and direct use in tests. Drains this
+  // mailbox's lanes first so a same-source message cannot overtake its ring
+  // backlog.
   void deliver(Message msg);
 
   // --- receives ---------------------------------------------------------

@@ -273,15 +273,8 @@ void SocketTransport::reader_loop(int peer_rank) {
     msg.tag = static_cast<int>(wire::load_u32(p + 4));
     msg.comm_id = wire::load_u64(p + 8);
     msg.sequence = wire::load_u64(p + 16);
-    const std::uint64_t trace_id = wire::load_u64(p + 24);
-    const std::uint32_t flow = wire::load_u32(p + 32);
-#if MM_OBS_ENABLED
-    msg.trace_id = trace_id;
-    msg.flow = flow;
-#else
-    (void)trace_id;
-    (void)flow;
-#endif
+    msg.trace_id = wire::load_u64(p + 24);
+    msg.flow = wire::load_u32(p + 32);
     const std::uint64_t payload_len = wire::load_u64(p + 36);
     msg.payload.resize(payload_len);
     if (payload_len > 0)
@@ -309,13 +302,8 @@ Status SocketTransport::send_envelope(Peer& peer, const Message& msg) {
   wire::store_u32(p + 5, static_cast<std::uint32_t>(msg.tag));
   wire::store_u64(p + 9, msg.comm_id);
   wire::store_u64(p + 17, msg.sequence);
-#if MM_OBS_ENABLED
   wire::store_u64(p + 25, msg.trace_id);
   wire::store_u32(p + 33, msg.flow);
-#else
-  wire::store_u64(p + 25, 0);
-  wire::store_u32(p + 33, 0);
-#endif
   wire::store_u64(p + 37, msg.payload.size());
   if (!msg.payload.empty())
     std::memcpy(p + 45, msg.payload.data(), msg.payload.size());

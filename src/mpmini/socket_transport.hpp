@@ -20,8 +20,7 @@
 // Envelope serialization is little-endian and carries the full header —
 // source, tag, comm id, per-(source, comm) sequence AND the PR 9 trace
 // context (trace id + flow id) — so FIFO order and cross-process flow
-// stitching survive the wire. Builds with MM_OBS_ENABLED=OFF write zeroed
-// trace fields, keeping the two build flavors wire-compatible.
+// stitching survive the wire.
 //
 // Failure semantics: transmit() to a dead peer throws (poisoning the sending
 // rank like a fault-plan kill); a peer that disconnects before its goodbye
@@ -61,7 +60,6 @@ class SocketTransport final : public Transport {
   SocketTransport(int world_size, Rendezvous rendezvous);
   ~SocketTransport() override;
 
-  TransportMode mode() const override { return TransportMode::socket; }
   int local_rank() const { return rz_.rank; }
 
   // Run the rendezvous handshake and start the reader threads. Throws

@@ -2,31 +2,26 @@
 
 namespace mm::mpi {
 
-InProcessTransport::InProcessTransport(int world_size, TransportMode mode)
-    : mode_(mode) {
+InProcessTransport::InProcessTransport(int world_size) {
   MM_ASSERT_MSG(world_size > 0, "World size must be positive");
-  MM_ASSERT_MSG(mode_ != TransportMode::socket,
-                "socket worlds are built by Environment::run_rendezvous");
   mailboxes_.reserve(static_cast<std::size_t>(world_size));
-  for (int i = 0; i < world_size; ++i)
+  for (int i = 0; i < world_size; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
-  if (mode_ == TransportMode::ring)
-    for (auto& mailbox : mailboxes_) mailbox->init_lanes(world_size);
+    mailboxes_.back()->init_lanes(world_size);
+  }
 }
 
 void InProcessTransport::transmit(int src_world, int dest_world, Message&& msg) {
   Mailbox& box = *mailboxes_[static_cast<std::size_t>(dest_world)];
-  // Hot path: a lane-ring push in ring mode (lock-free, no contention with
-  // other senders), the locked mailbox path otherwise — and also when the
-  // bounded ring is full, where deliver() drains this lane first so
+  // Hot path: a lane-ring push (lock-free, no contention with other
+  // senders). When the bounded ring is full the message takes the locked
+  // mailbox path, where deliver() drains this lane first so
   // per-(source, comm) order still holds.
-  if (mode_ == TransportMode::ring) {
-    Lane& lane = box.lane_for_sender(src_world);
-    if (lane.ring.try_push(std::move(msg))) {
-      lane.note_depth();
-      box.notify_ring_push();
-      return;
-    }
+  Lane& lane = box.lane_for_sender(src_world);
+  if (lane.ring.try_push(std::move(msg))) {
+    lane.note_depth();
+    box.notify_ring_push();
+    return;
   }
   box.deliver(std::move(msg));
 }

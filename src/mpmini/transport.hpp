@@ -7,8 +7,8 @@
 // runtime rewrite:
 //
 //   * InProcessTransport — all ranks in one process; one mailbox per rank,
-//     messages moved by SPSC lane rings (ring mode) or the locked mailbox
-//     path. This is the PR 6 hot path, unchanged, behind the interface.
+//     messages moved by SPSC lane rings, overflowing into the locked mailbox
+//     path when a ring is full.
 //   * SocketTransport (socket_transport.hpp) — one process per rank, full
 //     TCP mesh; only the local rank's mailbox exists here.
 #pragma once
@@ -16,7 +16,6 @@
 #include <memory>
 
 #include "mpmini/mailbox.hpp"
-#include "mpmini/wait.hpp"
 
 namespace mm::mpi {
 
@@ -24,10 +23,8 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  virtual TransportMode mode() const = 0;
-
   // Move `msg` toward `dest_world`'s mailbox. `src_world` names the sending
-  // rank (lane selection in ring mode, peer link in socket mode). May throw
+  // rank (its lane in process, its peer link over sockets). May throw
   // when the destination is unreachable — the sender's rank is poisoned,
   // matching a fault-plan kill.
   virtual void transmit(int src_world, int dest_world, Message&& msg) = 0;
@@ -48,18 +45,14 @@ class Transport {
 
 class InProcessTransport final : public Transport {
  public:
-  // `mode` must be ring or locked; socket worlds are built by Environment
-  // with a SocketTransport instead.
-  InProcessTransport(int world_size, TransportMode mode);
+  explicit InProcessTransport(int world_size);
 
-  TransportMode mode() const override { return mode_; }
   void transmit(int src_world, int dest_world, Message&& msg) override;
   Mailbox& mailbox(int world_rank) override;
   void attach_obs(obs::Gauge* queue_peak, obs::Gauge* ring_peak) override;
 
  private:
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
-  TransportMode mode_;
 };
 
 }  // namespace mm::mpi

@@ -19,22 +19,17 @@
 // fault plan goes silent and is detected within O(interval). A rank that
 // finishes its day cleanly retires its slot, which the monitor reports as
 // `done`, never `down`.
-//
-// With MM_OBS_ENABLED=0 every type here is a field-free no-op: the pulse is
-// never armed, the mailbox wait loops collapse to plain condition waits, and
-// the monitor reports nothing.
 #pragma once
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
-
-#include "obs/registry.hpp"  // for the MM_OBS_ENABLED default
-
-#if MM_OBS_ENABLED
-#include <condition_variable>
-#endif
 
 namespace mm::obs {
 
@@ -50,8 +45,6 @@ struct RankHealth {
   std::int64_t detected_ns = 0;   // monitor clock when `down` was declared
   std::uint32_t missed_scans = 0; // consecutive scans without an advance
 };
-
-#if MM_OBS_ENABLED
 
 // Shared heartbeat slots, one cache line per rank. Created by the run harness
 // before rank threads start; each slot is written only by its own rank thread
@@ -171,60 +164,5 @@ class HeartbeatMonitor {
   std::condition_variable stop_cv_;
   bool stopping_ = false;
 };
-
-#else  // !MM_OBS_ENABLED — field-free no-ops with the identical API.
-
-class HeartbeatBoard {
- public:
-  explicit HeartbeatBoard(int = 0) {}
-  int size() const { return 0; }
-  std::uint64_t seq(int) const { return 0; }
-  bool retired(int) const { return false; }
-  void retire(int) {}
-};
-
-struct Pulse {
-  bool armed() const noexcept { return false; }
-  std::chrono::nanoseconds interval() const noexcept { return {}; }
-  void beat() noexcept {}
-  void mark_dead() noexcept {}
-};
-
-inline Pulse& pulse_this_thread() noexcept {
-  static Pulse pulse;
-  return pulse;
-}
-
-class PulseGuard {
- public:
-  PulseGuard(HeartbeatBoard*, int, std::chrono::nanoseconds) {}
-  void retire() {}
-};
-
-class HeartbeatMonitor {
- public:
-  struct Config {
-    std::chrono::nanoseconds interval{std::chrono::milliseconds{100}};
-    double suspect_after = 1.0;
-    double dead_after = 1.5;
-    std::chrono::nanoseconds scan_period{0};
-  };
-  HeartbeatMonitor(const HeartbeatBoard&, Config config) : config_(config) {}
-  void start() {}
-  void stop() {}
-  void scan(std::int64_t) {}
-  int settle() { return 0; }
-  RankHealth health(int) const { return {}; }
-  std::vector<RankHealth> all() const { return {}; }
-  std::vector<int> dead_ranks() const { return {}; }
-  const Config& config() const { return config_; }
-  std::chrono::nanoseconds scan_period() const { return config_.interval; }
-  std::function<void(int, const RankHealth&)> on_dead;
-
- private:
-  Config config_;
-};
-
-#endif  // MM_OBS_ENABLED
 
 }  // namespace mm::obs

@@ -19,8 +19,7 @@
 //
 // Handlers run on the listener thread, so anything they touch must be
 // thread-safe against the rest of the process (Registry snapshots,
-// HeartbeatMonitor reads and the svc JobTable are). Compiled identically
-// with MM_OBS_ENABLED on or off — the server only shuttles strings.
+// HeartbeatMonitor reads and the svc JobTable are).
 #pragma once
 
 #include <atomic>

@@ -9,8 +9,6 @@
 
 namespace mm::obs {
 
-#if MM_OBS_ENABLED
-
 LivePlane::LivePlane(LiveConfig config, Registry& registry,
                      const TraceSink* trace)
     : config_(std::move(config)), registry_(registry), trace_(trace) {}
@@ -151,7 +149,5 @@ HttpResponse LivePlane::healthz() const {
   if (down.empty()) return {200, "text/plain; charset=utf-8", "ok\n"};
   return {503, "text/plain; charset=utf-8", "down: " + down + "\n"};
 }
-
-#endif  // MM_OBS_ENABLED
 
 }  // namespace mm::obs

@@ -147,8 +147,6 @@ std::string Snapshot::to_json() const {
   return out;
 }
 
-#if MM_OBS_ENABLED
-
 Histogram::Histogram(std::vector<std::int64_t> bounds) : bounds_(std::move(bounds)) {
   for (std::size_t i = 1; i < bounds_.size(); ++i)
     if (bounds_[i - 1] >= bounds_[i])
@@ -252,14 +250,5 @@ Registry& Registry::global() {
   static Registry instance;
   return instance;
 }
-
-#else
-
-Registry& Registry::global() {
-  static Registry instance;
-  return instance;
-}
-
-#endif  // MM_OBS_ENABLED
 
 }  // namespace mm::obs

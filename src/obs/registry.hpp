@@ -11,28 +11,18 @@
 // allocate — do it once at component setup and keep the returned reference;
 // references stay valid for the registry's lifetime.
 //
-// Compile-out: building with MM_OBS_ENABLED=0 (the MM_OBS_ENABLED=OFF CMake
-// option) swaps every type for a field-free no-op with the identical API, so
-// call sites compile unchanged and the optimizer deletes them. Snapshot (the
-// cold read-side value type) stays real in both modes; a disabled registry
-// just produces an empty one.
+// Telemetry is always compiled in; components that take a Registry* record
+// nothing when it is null.
 #pragma once
 
-#ifndef MM_OBS_ENABLED
-#define MM_OBS_ENABLED 1
-#endif
-
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#if MM_OBS_ENABLED
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
-#endif
+#include <vector>
 
 namespace mm::obs {
 
@@ -85,8 +75,6 @@ struct Snapshot {
 // Default histogram bounds for nanosecond latencies: powers of four from
 // 1 µs to ~4.3 s (12 bounds, 13 buckets including overflow).
 std::vector<std::int64_t> default_latency_bounds_ns();
-
-#if MM_OBS_ENABLED
 
 inline constexpr std::size_t kShardCount = 16;  // power of two
 
@@ -240,61 +228,5 @@ class Registry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
-
-#else  // !MM_OBS_ENABLED — field-free no-ops with the identical API.
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) noexcept {}
-  std::uint64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class Gauge {
- public:
-  void set(std::int64_t) noexcept {}
-  void add(std::int64_t) noexcept {}
-  void max_of(std::int64_t) noexcept {}
-  std::int64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class Histogram {
- public:
-  explicit Histogram(std::vector<std::int64_t> = {}) {}
-  void record(std::int64_t) noexcept {}
-  const std::vector<std::int64_t>& bounds() const {
-    static const std::vector<std::int64_t> empty;
-    return empty;
-  }
-  std::size_t bucket_count() const { return 0; }
-  std::vector<std::uint64_t> bucket_values() const { return {}; }
-  std::uint64_t count() const { return 0; }
-  std::int64_t sum() const { return 0; }
-  void reset() noexcept {}
-};
-
-class Registry {
- public:
-  Registry() = default;
-  Registry(const Registry&) = delete;
-  Registry& operator=(const Registry&) = delete;
-
-  Counter& counter(const std::string&) { return counter_; }
-  Gauge& gauge(const std::string&) { return gauge_; }
-  Histogram& histogram(const std::string&, std::vector<std::int64_t> = {}) {
-    return histogram_;
-  }
-  Snapshot snapshot() const { return {}; }
-  void reset() {}
-  static Registry& global();
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_{std::vector<std::int64_t>{}};
-};
-
-#endif  // MM_OBS_ENABLED
 
 }  // namespace mm::obs

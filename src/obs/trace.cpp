@@ -1,14 +1,11 @@
 #include "obs/trace.hpp"
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 
 #include "common/json.hpp"
 #include "common/strings.hpp"
-
-#if MM_OBS_ENABLED
-#include <atomic>
-#endif
 
 namespace mm::obs {
 namespace {
@@ -29,8 +26,6 @@ Status write_string(const std::string& path, const std::string& body) {
 }
 
 }  // namespace
-
-#if MM_OBS_ENABLED
 
 std::uint64_t next_trace_id() {
   static std::atomic<std::uint64_t> counter{0};
@@ -200,13 +195,5 @@ std::uint64_t TraceSink::total_flow_starts() const {
 std::uint64_t TraceSink::total_flow_finishes() const {
   return count_kind(TraceRing::kFlowFinish);
 }
-
-#else
-
-Status TraceSink::write_file(const std::string& path) const {
-  return write_string(path, chrome_json());
-}
-
-#endif  // MM_OBS_ENABLED
 
 }  // namespace mm::obs

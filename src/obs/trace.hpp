@@ -21,34 +21,25 @@
 // viewer draws the arrow — one causally connected trace per pipeline run
 // instead of N disconnected per-rank timelines. dagflow makes node code
 // inherit the context of the frame that woke it (see dag::Context::recv).
-//
-// With MM_OBS_ENABLED=0 every type here is a field-free no-op (ObsSpan does
-// not even read the clock), TraceContext carries nothing, and chrome_json()
-// returns an empty trace.
 #pragma once
 
-#include <cstdint>
-#include <string>
-
-#include "common/error.hpp"
-#include "obs/registry.hpp"
-
-#if MM_OBS_ENABLED
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
-#endif
+
+#include "common/error.hpp"
+#include "obs/registry.hpp"
 
 namespace mm::obs {
 
 // Longest event name stored without truncation (TraceEvent::name capacity
-// minus the terminator). Real in both build modes so tests can assert it.
+// minus the terminator).
 inline constexpr std::size_t kMaxEventName = 38;
-
-#if MM_OBS_ENABLED
 
 // Absolute steady-clock nanoseconds (the time base for every trace event).
 inline std::int64_t now_ns() noexcept {
@@ -269,94 +260,5 @@ class TraceContextScope {
  private:
   TraceContext prev_;
 };
-
-#else  // !MM_OBS_ENABLED
-
-inline std::int64_t now_ns() noexcept { return 0; }
-
-// Field-free: carries nothing, compares invalid, costs nothing to copy.
-struct TraceContext {
-  bool valid() const { return false; }
-};
-
-inline TraceContext make_trace_context(std::uint64_t, std::uint32_t = 0) {
-  return {};
-}
-
-inline std::uint64_t next_trace_id() { return 0; }
-inline std::uint32_t next_span_id() { return 0; }
-
-class TraceRing {
- public:
-  static constexpr std::uint8_t kSpan = 0;
-  static constexpr std::uint8_t kInstant = 1;
-  static constexpr std::uint8_t kFlowStart = 2;
-  static constexpr std::uint8_t kFlowFinish = 3;
-
-  void set_tid(std::int32_t) {}
-  std::int32_t pid() const { return 0; }
-  void complete(const char*, std::int64_t, std::int64_t) {}
-  void instant(const char*) {}
-  void flow_start(const char*, std::int64_t, std::uint32_t) {}
-  void flow_finish(const char*, std::int64_t, std::uint32_t) {}
-  std::size_t size() const { return 0; }
-  std::uint64_t dropped() const { return 0; }
-};
-
-class TraceSink {
- public:
-  explicit TraceSink(std::size_t = 0) {}
-  TraceRing& ring(std::int32_t, const std::string&) { return ring_; }
-  void set_thread_name(std::int32_t, std::int32_t, const std::string&) {}
-  void set_meta(const std::string&, const std::string&) {}
-  std::int64_t epoch_ns() const { return 0; }
-  std::string chrome_json() const { return "{\"traceEvents\":[]}"; }
-  Status write_file(const std::string& path) const;
-  std::uint64_t total_events() const { return 0; }
-  std::uint64_t total_dropped() const { return 0; }
-  std::uint64_t total_flow_starts() const { return 0; }
-  std::uint64_t total_flow_finishes() const { return 0; }
-
- private:
-  TraceRing ring_;
-};
-
-class ObsSpan {
- public:
-  ObsSpan(TraceRing*, const char*, Histogram* = nullptr) {}
-  void close() {}
-  ObsSpan(const ObsSpan&) = delete;
-  ObsSpan& operator=(const ObsSpan&) = delete;
-};
-
-struct ThreadTrace {
-  TraceRing* ring = nullptr;
-  TraceContext context{};
-};
-
-inline ThreadTrace& thread_trace() noexcept {
-  static ThreadTrace state;
-  return state;
-}
-
-inline TraceRing* current_trace_ring() noexcept { return nullptr; }
-inline TraceContext current_trace_context() noexcept { return {}; }
-inline void set_trace_context(TraceContext) noexcept {}
-
-class TraceRingScope {
- public:
-  explicit TraceRingScope(TraceRing*) {}
-  TraceRingScope(const TraceRingScope&) = delete;
-  TraceRingScope& operator=(const TraceRingScope&) = delete;
-};
-
-class TraceContextScope {
- public:
-  explicit TraceContextScope(TraceContext) {}
-  TraceContextScope(const TraceContextScope&) = delete;
-  TraceContextScope& operator=(const TraceContextScope&) = delete;
-};
-
-#endif  // MM_OBS_ENABLED
 
 }  // namespace mm::obs

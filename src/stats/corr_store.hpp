@@ -66,7 +66,7 @@ struct CorrDay {
 class CorrStore {
  public:
   // Native counters (monotonic, read under the store mutex) so tests can
-  // assert compute-once even when MM_OBS_ENABLED=OFF strips the registry.
+  // assert compute-once without a registry.
   struct Stats {
     std::uint64_t hits = 0;       // acquire() served a ready day
     std::uint64_t misses = 0;     // acquire() made the caller the owner

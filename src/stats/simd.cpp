@@ -2,8 +2,6 @@
 #include "stats/simd_detail.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 namespace mm::stats::simd {
 namespace {
@@ -18,11 +16,6 @@ bool cpu_has_avx2() {
 
 Level detect_best_level() {
   if (!avx2_compiled() || !cpu_has_avx2()) return Level::scalar;
-  // MM_SIMD_LEVEL=scalar pins the fallback kernels on capable hosts (ops
-  // knob, and how the scalar CI leg exercises the fallback on AVX2 runners).
-  if (const char* env = std::getenv("MM_SIMD_LEVEL");
-      env != nullptr && std::strcmp(env, "scalar") == 0)
-    return Level::scalar;
   return Level::avx2;
 }
 

@@ -46,8 +46,7 @@ bool avx2_compiled();
 bool avx2_supported();
 
 // The level the dispatched kernels currently use: the best supported level,
-// unless overridden. The MM_SIMD_LEVEL environment variable ("scalar" or
-// "avx2") pins the initial choice; ScopedLevel overrides it temporarily.
+// unless overridden by set_level or, temporarily, ScopedLevel.
 Level active_level();
 
 // Force a specific level (bench/tests). Returns false — and changes nothing

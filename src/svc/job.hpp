@@ -76,8 +76,7 @@ struct ParamOutcome {
 
 // Latency attribution for one stage of a job's life: exact quantiles over
 // this job's own samples (queue has one sample; cache/compute/exchange have
-// one per unit). Plain steady-clock timing, so the breakdown survives
-// MM_OBS_ENABLED=OFF builds.
+// one per unit). Plain steady-clock timing, independent of the registry.
 struct StageLatency {
   std::string stage;  // "queue" | "cache" | "compute" | "exchange"
   std::uint64_t count = 0;

@@ -169,14 +169,12 @@ TEST(ParallelEngine, MaronnaMatchesSerialAcrossRankCounts) {
       EXPECT_EQ(last.maronna, expected.maronna);
       EXPECT_EQ(last.pearson, expected.pearson);
     });
-#if MM_OBS_ENABLED
     // Step-phase timings land in the obs histograms: one compute sample per
     // rank per ready step.
     const auto snap = registry.snapshot();
     const auto* compute = snap.find("corr.step.compute_ns");
     ASSERT_NE(compute, nullptr);
     EXPECT_GT(compute->count, 0u);
-#endif
   }
 }
 

@@ -223,11 +223,9 @@ TEST(SocketTransport, EnvelopeTraceHeaderSurvivesTheWire) {
       obs::TraceContextScope context(obs::make_trace_context(kRootTrace));
       for (int i = 0; i < kSends; ++i)
         comm.send(1, 5, {static_cast<std::uint8_t>(i)});
-#if MM_OBS_ENABLED
       // One flow start per logical send on the sender's side.
       CHILD_CHECK(sink.total_flow_starts() ==
                   static_cast<std::uint64_t>(kSends));
-#endif
     } else {
       obs::TraceSink sink(256);
       obs::TraceRing& ring = sink.ring(1, "rank1");
@@ -238,21 +236,16 @@ TEST(SocketTransport, EnvelopeTraceHeaderSurvivesTheWire) {
         const auto payload = comm.recv(0, 5, &status);
         CHILD_CHECK(payload.size() == 1 &&
                     payload[0] == static_cast<std::uint8_t>(i));
-#if MM_OBS_ENABLED
         // The envelope header crossed the process boundary intact: the
         // sender's trace id, and a fresh flow id per send.
         CHILD_CHECK(status.trace_id == kRootTrace);
         CHILD_CHECK(status.flow != 0);
         CHILD_CHECK(status.flow != last_flow);
         last_flow = status.flow;
-#endif
       }
-#if MM_OBS_ENABLED
       // Exactly one flow finish per logical send on the receiver's side.
       CHILD_CHECK(sink.total_flow_finishes() ==
                   static_cast<std::uint64_t>(kSends));
-#endif
-      (void)last_flow;
     }
   });
   EXPECT_TRUE(ok);
@@ -342,91 +335,32 @@ namespace mm::mpi {
 namespace {
 
 TEST(TransportEnv, DefaultsWhenUnset) {
-  const TransportEnv env =
-      parse_transport_env(nullptr, nullptr, nullptr, nullptr, 8);
-  EXPECT_EQ(env.transport, TransportMode::ring);
+  const TransportEnv env = parse_transport_env(nullptr, 8);
+  EXPECT_FALSE(env.socket);
   EXPECT_EQ(env.spin.iterations, 512u);
-  EXPECT_EQ(env.ring_capacity, 256u);
-  EXPECT_FALSE(env.pin);
+  EXPECT_EQ(env.spin.pause_share, 64u);
   EXPECT_TRUE(env.warnings.empty());
 }
 
 TEST(TransportEnv, ValidValuesParse) {
-  const TransportEnv env = parse_transport_env("socket", "1024", "64", "1", 8);
-  EXPECT_EQ(env.transport, TransportMode::socket);
-  EXPECT_EQ(env.spin.iterations, 1024u);
-  EXPECT_EQ(env.ring_capacity, 64u);
-  EXPECT_TRUE(env.pin);
+  const TransportEnv env = parse_transport_env("socket", 8);
+  EXPECT_TRUE(env.socket);
   EXPECT_TRUE(env.warnings.empty());
 }
 
 TEST(TransportEnv, GarbageTransportWarnsAndFallsBackToRing) {
-  const TransportEnv env =
-      parse_transport_env("shared-memory", nullptr, nullptr, nullptr, 8);
-  EXPECT_EQ(env.transport, TransportMode::ring);
+  // Any value but "socket" warns once and leaves the in-process rings in
+  // charge.
+  const TransportEnv env = parse_transport_env("locked", 8);
+  EXPECT_FALSE(env.socket);
   ASSERT_EQ(env.warnings.size(), 1u);
   EXPECT_NE(env.warnings[0].find("MM_MPMINI_TRANSPORT"), std::string::npos);
 }
 
-TEST(TransportEnv, GarbageSpinWarnsAndKeepsDefault) {
-  for (const char* bad : {"fast", "-1", "512k", "4294967296000"}) {
-    const TransportEnv env =
-        parse_transport_env(nullptr, bad, nullptr, nullptr, 8);
-    EXPECT_EQ(env.spin.iterations, 512u) << bad;
-    ASSERT_EQ(env.warnings.size(), 1u) << bad;
-    EXPECT_NE(env.warnings[0].find("MM_MPMINI_SPIN"), std::string::npos) << bad;
-  }
-  // Zero is a legal value (park immediately), not garbage.
-  const TransportEnv zero =
-      parse_transport_env(nullptr, "0", nullptr, nullptr, 8);
-  EXPECT_EQ(zero.spin.iterations, 0u);
-  EXPECT_TRUE(zero.warnings.empty());
-}
-
-TEST(TransportEnv, RingCapGarbageAndClamping) {
-  const TransportEnv garbage =
-      parse_transport_env(nullptr, nullptr, "lots", nullptr, 8);
-  EXPECT_EQ(garbage.ring_capacity, 256u);
-  ASSERT_EQ(garbage.warnings.size(), 1u);
-
-  const TransportEnv low =
-      parse_transport_env(nullptr, nullptr, "1", nullptr, 8);
-  EXPECT_EQ(low.ring_capacity, 2u);
-  EXPECT_EQ(low.warnings.size(), 1u);
-
-  const TransportEnv high =
-      parse_transport_env(nullptr, nullptr, "99999999999", nullptr, 8);
-  EXPECT_EQ(high.ring_capacity, std::uint64_t{1} << 20);
-  EXPECT_EQ(high.warnings.size(), 1u);
-
-  const TransportEnv fine =
-      parse_transport_env(nullptr, nullptr, "1024", nullptr, 8);
-  EXPECT_EQ(fine.ring_capacity, 1024u);
-  EXPECT_TRUE(fine.warnings.empty());
-}
-
-TEST(TransportEnv, BadPinWarnsAndStaysOff) {
-  const TransportEnv env =
-      parse_transport_env(nullptr, nullptr, nullptr, "yes", 8);
-  EXPECT_FALSE(env.pin);
-  ASSERT_EQ(env.warnings.size(), 1u);
-  EXPECT_NE(env.warnings[0].find("MM_MPMINI_PIN"), std::string::npos);
-}
-
 TEST(TransportEnv, SingleCoreHostGetsShortYieldOnlySpin) {
-  const TransportEnv env =
-      parse_transport_env(nullptr, nullptr, nullptr, nullptr, 1);
+  const TransportEnv env = parse_transport_env(nullptr, 1);
   EXPECT_EQ(env.spin.iterations, 16u);
   EXPECT_EQ(env.spin.pause_share, 0u);
-}
-
-TEST(TransportEnv, MultipleBadKnobsAccumulateWarnings) {
-  const TransportEnv env = parse_transport_env("tcp", "soon", "zero", "y", 8);
-  EXPECT_EQ(env.warnings.size(), 4u);
-  EXPECT_EQ(env.transport, TransportMode::ring);
-  EXPECT_EQ(env.spin.iterations, 512u);
-  EXPECT_EQ(env.ring_capacity, 256u);
-  EXPECT_FALSE(env.pin);
 }
 
 TEST(RendezvousEnv, ParsesAndRejects) {

@@ -179,10 +179,7 @@ TEST(SvcEndToEnd, TwoTenantsShareCorrelationWorkAndMatchDirectRuns) {
           << "return " << k;
   }
 
-  // Per-tenant labeled families on the scrape (the registry is a field-free
-  // no-op under MM_OBS_ENABLED=OFF; the native CorrStore/DayCache stats
-  // asserted above cover compute-once in that build).
-#if MM_OBS_ENABLED
+  // Per-tenant labeled families on the scrape.
   const std::string metrics = get(port, "/metrics");
   EXPECT_NE(metrics.find("mm_svc_jobs_done_total{tenant=\"alice\"} 1"),
             std::string::npos)
@@ -192,9 +189,6 @@ TEST(SvcEndToEnd, TwoTenantsShareCorrelationWorkAndMatchDirectRuns) {
   EXPECT_NE(metrics.find("mm_svc_units_done_total{tenant=\"alice\"} 2"),
             std::string::npos);
   EXPECT_NE(metrics.find("mm_corr_store_hits_total"), std::string::npos);
-#else
-  EXPECT_EQ(status_of(get(port, "/metrics")), 200);
-#endif
 
   service.stop();
 }
@@ -331,16 +325,13 @@ TEST(SvcEndToEnd, TenantQueueLimitAnswers429AndCountsRejections) {
   EXPECT_GE(accepted, 1);
   ASSERT_GE(rejected, 1);
 
-  // The rejection shows up on the scrape, labeled by tenant (registry is a
-  // no-op under MM_OBS_ENABLED=OFF — the 429s above cover that build); the
-  // refused job is parked terminally cancelled so shutdown never waits on it.
-#if MM_OBS_ENABLED
+  // The rejection shows up on the scrape, labeled by tenant; the refused job
+  // is parked terminally cancelled so shutdown never waits on it.
   const std::string metrics = get(port, "/metrics");
   EXPECT_NE(metrics.find("mm_svc_jobs_rejected_total{tenant=\"greta\"} " +
                          std::to_string(rejected)),
             std::string::npos)
       << metrics.substr(0, 2000);
-#endif
   service.stop();
 }
 

@@ -2,10 +2,6 @@
 // envelope, dagflow frame inheritance, flow-event stitching in the Chrome
 // JSON, fault-plan interaction (drops orphan nothing, duplicates don't
 // double-finish), the kill -> flight-bundle path, and name truncation.
-//
-// Every test compiles in MM_OBS_ENABLED=OFF builds too (the obs-off CI tree
-// runs this file): value assertions on trace content are #if-guarded, while
-// the control flow — scopes, sends, graph runs — executes in both modes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -34,7 +30,6 @@ namespace {
 
 using std::chrono::milliseconds;
 
-#if MM_OBS_ENABLED
 // Events of `kind` recorded on `ring`, in recording order.
 std::vector<TraceEvent> events_of_kind(const TraceRing& ring, std::uint8_t kind) {
   std::vector<TraceEvent> out;
@@ -42,7 +37,6 @@ std::vector<TraceEvent> events_of_kind(const TraceRing& ring, std::uint8_t kind)
     if (ring.event(i).kind == kind) out.push_back(ring.event(i));
   return out;
 }
-#endif
 
 // --- name truncation --------------------------------------------------------
 
@@ -53,7 +47,6 @@ TEST(TraceNames, LongNamesTruncateAtCapacity) {
   const std::string long_name(kMaxEventName + 12, 'b'); // must truncate
   ring.complete(max_name.c_str(), 10, 10);
   ring.complete(long_name.c_str(), 30, 10);
-#if MM_OBS_ENABLED
   ASSERT_EQ(ring.size(), 2u);
   EXPECT_EQ(std::strlen(ring.event(0).name), kMaxEventName);
   EXPECT_EQ(ring.event(0).name, max_name);
@@ -64,15 +57,11 @@ TEST(TraceNames, LongNamesTruncateAtCapacity) {
   EXPECT_NE(sink.chrome_json().find(long_name.substr(0, kMaxEventName)),
             std::string::npos);
   EXPECT_EQ(sink.chrome_json().find(long_name), std::string::npos);
-#else
-  EXPECT_EQ(ring.size(), 0u);
-#endif
 }
 
 // --- context plumbing -------------------------------------------------------
 
 TEST(TraceContextApi, ScopesInstallAndRestore) {
-#if MM_OBS_ENABLED
   EXPECT_FALSE(current_trace_context().valid());
   const std::uint64_t id = next_trace_id();
   {
@@ -90,29 +79,7 @@ TEST(TraceContextApi, ScopesInstallAndRestore) {
   // Allocators never return the 0 sentinel.
   EXPECT_NE(next_trace_id(), 0u);
   EXPECT_NE(next_span_id(), 0u);
-#else
-  // OFF: everything compiles to no-ops and the context is never valid.
-  TraceContextScope scope(make_trace_context(42));
-  EXPECT_FALSE(current_trace_context().valid());
-  EXPECT_EQ(next_trace_id(), 0u);
-  EXPECT_EQ(next_span_id(), 0u);
-#endif
 }
-
-#if !MM_OBS_ENABLED
-TEST(TraceOffMode, MessageCarriesNoTraceHeader) {
-  // The envelope header is a packed extension: compiled out entirely, it
-  // must add zero bytes to the Message struct.
-  struct BareMessage {
-    int source;
-    int tag;
-    std::uint64_t comm_id;
-    std::uint64_t sequence;
-    std::vector<std::uint8_t> payload;
-  };
-  EXPECT_EQ(sizeof(mpi::Message), sizeof(BareMessage));
-}
-#endif
 
 // --- cross-rank stitching through mpmini ------------------------------------
 
@@ -131,14 +98,11 @@ TEST(TraceCrossRank, SendRecvEmitLinkedFlowEvents) {
     } else {
       mpi::RecvStatus status;
       (void)comm.recv(0, 5, &status);
-#if MM_OBS_ENABLED
       recv_trace_id = status.trace_id;
       recv_flow = status.flow;
-#endif
     }
   });
 
-#if MM_OBS_ENABLED
   // The envelope carried the sender's context to the receiver intact.
   EXPECT_EQ(recv_trace_id.load(), root_trace);
   EXPECT_NE(recv_flow.load(), 0u);
@@ -171,10 +135,6 @@ TEST(TraceCrossRank, SendRecvEmitLinkedFlowEvents) {
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"f\",\"bp\":\"e\""), std::string::npos);
   EXPECT_NE(json.find("\"cat\":\"flow\""), std::string::npos);
-#else
-  EXPECT_EQ(sink.total_events(), 0u);
-  EXPECT_EQ(root_trace, 0u);
-#endif
 }
 
 TEST(TraceCrossRank, UntracedSendsCarryNoHeaderAndEmitNothing) {
@@ -189,10 +149,8 @@ TEST(TraceCrossRank, UntracedSendsCarryNoHeaderAndEmitNothing) {
     } else {
       mpi::RecvStatus status;
       (void)comm.recv(0, 5, &status);
-#if MM_OBS_ENABLED
       EXPECT_EQ(status.trace_id, 0u);
       EXPECT_EQ(status.flow, 0u);
-#endif
     }
   });
   EXPECT_EQ(sink.total_events(), 0u);
@@ -254,15 +212,12 @@ TEST(TraceFaults, DuplicatedMessagesEmitOneFlowFinishEach) {
           for (int i = 0; i < 2 * kSends; ++i) {
             mpi::RecvStatus status;
             (void)comm.recv(0, 5, &status);
-#if MM_OBS_ENABLED
             (status.trace_id != 0 ? traced_recvs : untraced_recvs)++;
-#endif
           }
         }
       },
       plan);
 
-#if MM_OBS_ENABLED
   // The duplicate copy travels with a cleared header: exactly one of each
   // delivered pair is the causal edge, so flow finishes match flow starts
   // and nothing is double-emitted.
@@ -270,9 +225,6 @@ TEST(TraceFaults, DuplicatedMessagesEmitOneFlowFinishEach) {
   EXPECT_EQ(untraced_recvs.load(), kSends);
   EXPECT_EQ(sink.total_flow_starts(), static_cast<std::uint64_t>(kSends));
   EXPECT_EQ(sink.total_flow_finishes(), static_cast<std::uint64_t>(kSends));
-#else
-  EXPECT_EQ(sink.total_events(), 0u);
-#endif
 }
 
 // --- dagflow inheritance ----------------------------------------------------
@@ -291,11 +243,7 @@ TEST(TraceDagflow, FramesInheritTheContextOfTheMessageThatWokeThem) {
     while (auto msg = ctx.recv()) {
       (void)msg;
       std::lock_guard<std::mutex> lock(seen_mutex);
-#if MM_OBS_ENABLED
       seen.push_back(current_trace_context().trace_id);
-#else
-      seen.push_back(0);
-#endif
     }
   });
   g.connect(src, 0, dst, 0);
@@ -307,7 +255,6 @@ TEST(TraceDagflow, FramesInheritTheContextOfTheMessageThatWokeThem) {
   for (const auto& node : result.nodes) EXPECT_TRUE(node.ok()) << node.name;
 
   ASSERT_EQ(seen.size(), 5u);
-#if MM_OBS_ENABLED
   // Every frame the source emitted carried the root context (installed on
   // its rank thread by the run harness), and the consumer inherited it the
   // moment recv() handed the frame over.
@@ -318,7 +265,6 @@ TEST(TraceDagflow, FramesInheritTheContextOfTheMessageThatWokeThem) {
   EXPECT_GE(sink.total_flow_starts(), 5u);
   EXPECT_GE(sink.total_flow_finishes(), 5u);
   EXPECT_LE(sink.total_flow_finishes(), sink.total_flow_starts());
-#endif
 }
 
 // --- kill -> flight bundle --------------------------------------------------
@@ -369,7 +315,6 @@ TEST(TraceFlight, KilledRankSpansAppearInFlightBundle) {
   const auto result = engine::run_pipeline(cfg, universe, day.quotes());
   EXPECT_TRUE(result.degraded);
 
-#if MM_OBS_ENABLED
   ASSERT_FALSE(result.live.flight_bundle.empty());
   const std::string trace =
       read_file(std::filesystem::path(result.live.flight_bundle) / "trace.json");
@@ -385,7 +330,6 @@ TEST(TraceFlight, KilledRankSpansAppearInFlightBundle) {
   const bool victim_flow =
       sink.ring(kStrategyRank, "rank 4").size() > 0;
   EXPECT_TRUE(victim_flow);
-#endif
   std::filesystem::remove_all(flight_dir);
 }
 

@@ -20,6 +20,7 @@
 #include "mpmini/pool.hpp"
 #include "mpmini/ring.hpp"
 #include "mpmini/wait.hpp"
+#include "obs/registry.hpp"
 
 // Global allocation counter for the zero-alloc steady-state tests. Replacing
 // the global operator new is binary-wide, which is why these tests live in
@@ -169,23 +170,6 @@ TEST(RingTransport, BigBurstOverflowsToLockedPathWithoutLossOrReorder) {
       for (int i = 0; i < n; ++i) ASSERT_EQ(comm.recv_value<int>(0, 1), i);
     }
   });
-}
-
-TEST(RingTransport, LockedModeStillWorksEndToEnd) {
-  // The legacy locked transport stays alive as the bench baseline and the
-  // overflow route; a world constructed in locked mode must behave
-  // identically at the API level.
-  World world(2, TransportMode::locked);
-  ASSERT_EQ(world.transport(), TransportMode::locked);
-  const std::uint64_t comm_id = world.allocate_comm_id();
-  constexpr int n = 500;
-  std::thread receiver([&] {
-    Comm comm(&world, comm_id, 1, {0, 1});
-    for (int i = 0; i < n; ++i) ASSERT_EQ(comm.recv_value<int>(0, 1), i);
-  });
-  Comm comm(&world, comm_id, 0, {0, 1});
-  for (int i = 0; i < n; ++i) comm.send_value<int>(1, 1, i);
-  receiver.join();
 }
 
 TEST(RingTransport, WaitForDrainsRingAtDeadlineEdge) {
@@ -393,7 +377,7 @@ TEST(ZeroAlloc, RingSelfLoopSteadyStateAllocatesNothing) {
   // through the transport. After warmup (lane creation, pool carve, vector
   // growth) the ring path must be allocation-free: ring slots recycle payload
   // capacity, receives use stack tickets, nothing touches operator new.
-  World world(1, TransportMode::ring);
+  World world(1);
   Comm comm(&world, world.allocate_comm_id(), 0, {0});
   std::vector<std::uint8_t> payload(64, 0xab);
   for (int i = 0; i < 512; ++i) {
@@ -409,23 +393,31 @@ TEST(ZeroAlloc, RingSelfLoopSteadyStateAllocatesNothing) {
   EXPECT_EQ(payload.size(), 64u);
 }
 
-TEST(ZeroAlloc, LockedSelfLoopSteadyStateAllocatesNothing) {
-  // The locked fallback shares the pooled envelope store and intrusive
-  // lists, so it too must run allocation-free once warm — the overflow route
-  // does not silently reintroduce per-message heap traffic.
-  World world(1, TransportMode::locked);
+TEST(ZeroAlloc, RingOverflowSelfLoopSteadyStateAllocatesNothing) {
+  // A self-loop burst longer than the lane ring: the ring fills, the next
+  // send overflows through the locked deliver() path (which drains the ring
+  // into pooled envelopes first), and the rest of the burst refills the
+  // ring. The overflow route shares the pooled envelope store and intrusive
+  // lists, so once warm it must not reintroduce per-message heap traffic.
+  obs::Registry registry;
+  World world(1);
+  world.attach_obs(registry);
   Comm comm(&world, world.allocate_comm_id(), 0, {0});
-  std::vector<std::uint8_t> payload(64, 0xcd);
-  for (int i = 0; i < 512; ++i) {
-    comm.send(0, 1, std::move(payload));
-    payload = comm.recv(0, 1);
-  }
+  constexpr int kBurst = static_cast<int>(kRingCapacity) + 64;
+  std::vector<std::vector<std::uint8_t>> payloads(
+      kBurst, std::vector<std::uint8_t>(64, 0xcd));
+  const auto burst = [&] {
+    for (auto& p : payloads) comm.send(0, 1, std::move(p));
+    for (auto& p : payloads) p = comm.recv(0, 1);
+  };
+  for (int round = 0; round < 4; ++round) burst();  // warm lane, pool, buffers
+  // The ring really filled, so the burst's tail took the overflow route.
+  ASSERT_EQ(registry.gauge("mpmini.ring.depth_peak").value(),
+            static_cast<std::int64_t>(kRingCapacity));
   const std::uint64_t before = g_alloc_count.load();
-  for (int i = 0; i < 4096; ++i) {
-    comm.send(0, 1, std::move(payload));
-    payload = comm.recv(0, 1);
-  }
+  for (int round = 0; round < 16; ++round) burst();
   EXPECT_EQ(g_alloc_count.load() - before, 0u);
+  for (const auto& p : payloads) EXPECT_EQ(p.size(), 64u);
 }
 
 }  // namespace

@@ -80,8 +80,7 @@ std::optional<ExitReason> exit_signal(const StrategyParams& params,
                                       bool corr_valid, double avg_corr) {
   // Retracement cross (step 5).
   const double spread = price_i - price_j;
-  if (pos.exit_when_spread_above ? spread >= pos.retrace_level
-                                 : spread <= pos.retrace_level)
+  if (retracement_cross(pos.exit_when_spread_above, pos.retrace_level, spread))
     return ExitReason::retracement;
 
   // Optional absolute stop-loss on the mark-to-market return.
@@ -97,7 +96,7 @@ std::optional<ExitReason> exit_signal(const StrategyParams& params,
     return ExitReason::correlation_reversion;
 
   // Maximum holding period HP.
-  if (s - pos.entry_s >= params.max_holding) return ExitReason::max_holding;
+  if (holding_expired(params, pos.entry_s, s)) return ExitReason::max_holding;
   return std::nullopt;
 }
 

@@ -72,18 +72,23 @@ struct PairPosition {
 
 // --- §III decision rules ----------------------------------------------------
 // The per-pair reference (PairStrategy) and the strategy-wide book (PairBook)
-// both decide through these functions, so the two agree bit for bit.
+// both decide through these functions, so the two agree bit for bit. The
+// book evaluates the streak, freshness, entry-gate and retracement rules for
+// every pair at every step, and their comparisons are close to coin flips on
+// live data (whether C dips below C̄(1-d) is), so they combine comparisons
+// with bitwise operators and 0/1 arithmetic, which compile without branches.
 
 // Step 2: the divergence streak after C(s) against the trailing C̄ — the
 // number of consecutive intervals with C < C̄(1-d).
 inline std::int64_t next_divergence_streak(const StrategyParams& params, double corr,
                                            double avg_corr, std::int64_t streak) {
-  return corr < avg_corr * (1.0 - params.divergence) ? streak + 1 : 0;
+  const bool diverged = corr < avg_corr * (1.0 - params.divergence);
+  return static_cast<std::int64_t>(diverged) * (streak + 1);
 }
 
 // A divergence is fresh while its streak is at most Y intervals long.
 inline bool fresh_divergence(const StrategyParams& params, std::int64_t streak) {
-  return streak > 0 && streak <= params.divergence_window;
+  return (streak > 0) & (streak <= params.divergence_window);
 }
 
 // After a close, a divergence that is still running must not re-trigger.
@@ -91,12 +96,26 @@ inline std::int64_t streak_after_close(const StrategyParams& params) {
   return params.divergence_window + 1;
 }
 
+// Step 5's retracement cross: the spread reached the level fixed at entry,
+// moving away from the side the position was opened on.
+inline bool retracement_cross(bool exit_when_spread_above, double retrace_level,
+                              double spread) {
+  return (exit_when_spread_above & (spread >= retrace_level)) |
+         (!exit_when_spread_above & (spread <= retrace_level));
+}
+
+// Step 5's maximum holding period HP.
+inline bool holding_expired(const StrategyParams& params, std::int64_t entry_s,
+                            std::int64_t s) {
+  return s - entry_s >= params.max_holding;
+}
+
 // Entry gate (steps 2-3) once every window is warm: a fresh divergence, C̄
 // above A, and more than ST intervals left in the session.
 inline bool entry_signal(const StrategyParams& params, std::int64_t s, std::int64_t smax,
                          bool fresh, double avg_corr) {
-  return fresh && avg_corr > params.min_correlation &&
-         s < smax - params.no_entry_before_close;
+  return fresh & (avg_corr > params.min_correlation) &
+         (s < smax - params.no_entry_before_close);
 }
 
 // Steps 3-5 at entry: direction from the W-interval returns (`first_i`,

@@ -321,10 +321,14 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
     obs::Histogram* step_ns = step_histogram(ctx, "engine.strategy.step_ns");
     // Built on the first frame, which brings the universe size.
     std::optional<core::PairBook> book;
-    // Each of my pairs' slot in the canonical all-pairs order the CorrFrame
-    // vectors use.
+    // The frame's vectors list every pair in canonical all-pairs order. When
+    // my pairs are exactly that list (as run_pipeline passes them), the book
+    // reads a Pearson or Maronna vector in place; otherwise each of my pairs
+    // is gathered from its canonical slot into `corr`, as is Combined.
+    bool canonical = false;
     std::vector<std::size_t> frame_index;
     std::vector<double> corr;  // per-pair correlations, in my pair order
+    CorrFrame frame;           // reused: unpacked into its vectors' storage
     OrderBatch batch;
     std::int64_t last_interval = -1;
 
@@ -364,39 +368,50 @@ dag::NodeFn make_strategy_stage(core::StrategyParams params,
       mpi::Unpacker u(msg->bytes);
       MM_ASSERT(static_cast<RecordType>(u.get<std::uint8_t>()) ==
                 RecordType::corr_frame);
-      const auto frame = CorrFrame::unpack(u);
+      CorrFrame::unpack_into(u, frame);
       bump(stats, 1, 0, 1, 0);
       last_interval = frame.interval;
 
       if (!book) {
         const std::size_t n = frame.prices.size();
-        for (const auto& pair : pairs) {
+        canonical = pairs.size() == n * (n - 1) / 2;
+        for (std::size_t k = 0; k < pairs.size(); ++k) {
+          const auto& pair = pairs[k];
           MM_ASSERT_MSG(pair.i < pair.j && pair.j < n, "pair not in universe");
           frame_index.push_back(stats::pair_slot(n, pair.i, pair.j));
+          canonical = canonical && frame_index[k] == k;
         }
         corr.resize(pairs.size());
         book.emplace(params, smax, n, pairs);
       }
 
       obs::ObsSpan step(ctx.ring(), "strategy-step", step_ns);
+      const double* book_corr = nullptr;
       if (frame.valid) {
-        for (std::size_t k = 0; k < pairs.size(); ++k) {
-          const std::size_t slot = frame_index[k];
-          switch (params.ctype) {
-            case stats::Ctype::pearson:
-              corr[k] = frame.pearson[slot];
-              break;
-            case stats::Ctype::maronna:
-              corr[k] = frame.maronna[slot];
-              break;
-            case stats::Ctype::combined:
-              corr[k] = stats::combine(frame.pearson[slot], frame.maronna[slot]);
-              break;
+        switch (params.ctype) {
+          case stats::Ctype::pearson:
+          case stats::Ctype::maronna: {
+            const auto& vec =
+                params.ctype == stats::Ctype::pearson ? frame.pearson : frame.maronna;
+            if (canonical) {
+              MM_ASSERT_MSG(vec.size() == pairs.size(), "frame vector of the wrong size");
+              book_corr = vec.data();
+            } else {
+              for (std::size_t k = 0; k < pairs.size(); ++k) corr[k] = vec[frame_index[k]];
+              book_corr = corr.data();
+            }
+            break;
           }
+          case stats::Ctype::combined:
+            for (std::size_t k = 0; k < pairs.size(); ++k) {
+              const std::size_t slot = frame_index[k];
+              corr[k] = stats::combine(frame.pearson[slot], frame.maronna[slot]);
+            }
+            book_corr = corr.data();
+            break;
         }
       }
-      book->step(frame.interval, frame.prices.data(),
-                 frame.valid ? corr.data() : nullptr, frame.valid);
+      book->step(frame.interval, frame.prices.data(), book_corr, frame.valid);
       emit_batch(frame.interval);
     }
 

@@ -107,12 +107,16 @@ struct CorrFrame {
   }
   static CorrFrame unpack(mpi::Unpacker& u) {
     CorrFrame f;
+    unpack_into(u, f);
+    return f;
+  }
+  // unpack into `f`'s vectors: no allocation once they have the capacity.
+  static void unpack_into(mpi::Unpacker& u, CorrFrame& f) {
     f.interval = u.get<std::int64_t>();
     f.valid = u.get<std::uint8_t>() != 0;
-    f.prices = u.get_vector<double>();
-    f.pearson = u.get_vector<double>();
-    f.maronna = u.get_vector<double>();
-    return f;
+    u.get_vector_into(f.prices);
+    u.get_vector_into(f.pearson);
+    u.get_vector_into(f.maronna);
   }
 };
 

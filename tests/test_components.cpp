@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <map>
 #include <string>
+#include <tuple>
 
+#include "common/rng.hpp"
+#include "core/strategy.hpp"
 #include "dagflow/context.hpp"
 #include "engine/components.hpp"
 #include "engine/messages.hpp"
@@ -252,6 +256,111 @@ TEST(StrategyNode, ReadsItsPairsFromTheirCanonicalFrameSlots) {
     }
   }
   EXPECT_EQ(entries, std::vector<int>(pairs.size(), 1));
+}
+
+// Orders keyed by (interval, symbol i, symbol j, is_entry) — a pair places
+// at most one entry and one exit per interval (both only when the end of day
+// closes a position opened in the last interval) — with the shares and
+// prices printed exactly.
+using OrderKey = std::tuple<std::int64_t, std::uint32_t, std::uint32_t, bool>;
+
+std::string order_text(double shares_i, double shares_j, double price_i, double price_j) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "%a %a %a %a", shares_i, shares_j, price_i, price_j);
+  return buf;
+}
+
+TEST(StrategyNode, DirectReadGatherAndCombinedMatchPerPairReference) {
+  // A seeded 6-symbol day of frames carrying Pearson and Maronna vectors.
+  // The stage reads a canonical pair list's Pearson or Maronna vector in
+  // place, gathers a sub-list's from the canonical slots, and derives
+  // Combined per pair; every path must place exactly the orders of one
+  // PairStrategy per pair fed the same correlations.
+  core::StrategyParams params = core::ParamGrid::base();
+  params.avg_window = 5;
+  params.divergence_window = 3;
+  params.spread_window = 4;
+  params.max_holding = 6;
+  params.divergence = 0.01;
+
+  constexpr std::size_t n = 6;
+  constexpr std::int64_t kIntervals = 300;
+  const auto canonical = stats::all_pairs(n);
+  Rng rng(31);
+  std::vector<double> prices(n);
+  for (auto& p : prices) p = rng.uniform(20.0, 80.0);
+  std::vector<CorrFrame> frames;
+  for (std::int64_t s = 0; s < kIntervals; ++s) {
+    CorrFrame frame;
+    frame.interval = s;
+    frame.valid = s >= 10;
+    for (auto& p : prices) p *= std::exp(0.003 * rng.normal());
+    frame.prices = prices;
+    if (frame.valid) {
+      for (std::size_t k = 0; k < canonical.size(); ++k) {
+        const double dip = rng.uniform() < 0.05 ? 0.3 : 0.0;
+        frame.pearson.push_back(0.8 + 0.02 * rng.normal() - dip);
+        frame.maronna.push_back(0.7 + 0.02 * rng.normal() - dip);
+      }
+    }
+    frames.push_back(std::move(frame));
+  }
+  const auto corr_of = [](const CorrFrame& f, stats::Ctype ctype, std::size_t slot) {
+    switch (ctype) {
+      case stats::Ctype::pearson: return f.pearson[slot];
+      case stats::Ctype::maronna: return f.maronna[slot];
+      case stats::Ctype::combined: break;
+    }
+    return stats::combine(f.pearson[slot], f.maronna[slot]);
+  };
+
+  const std::vector<stats::PairIndex> sub = {{0, 2}, {0, 3}, {1, 5}, {2, 3}, {4, 5}};
+  const std::pair<stats::Ctype, const std::vector<stats::PairIndex>*> cases[] = {
+      {stats::Ctype::pearson, &canonical},  {stats::Ctype::maronna, &canonical},
+      {stats::Ctype::combined, &canonical}, {stats::Ctype::pearson, &sub},
+      {stats::Ctype::maronna, &sub},        {stats::Ctype::combined, &sub},
+  };
+  for (const auto& [ctype, pairs] : cases) {
+    SCOPED_TRACE(std::string(stats::to_string(ctype)) + " over " +
+                 std::to_string(pairs->size()) + " pairs");
+    params.ctype = ctype;
+
+    std::map<OrderKey, std::string> expected;
+    for (const auto& pair : *pairs) {
+      const std::size_t slot = stats::pair_slot(n, pair.i, pair.j);
+      core::PairStrategy ref(params, 780);
+      for (const auto& f : frames)
+        ref.step(f.interval, f.prices[pair.i], f.prices[pair.j],
+                 f.valid ? corr_of(f, ctype, slot) : 0.0, f.valid);
+      ref.finish();
+      for (const auto& t : ref.trades()) {
+        expected[{t.entry_interval, pair.i, pair.j, true}] =
+            order_text(t.shares_i, t.shares_j, t.entry_price_i, t.entry_price_j);
+        expected[{t.exit_interval, pair.i, pair.j, false}] =
+            order_text(-t.shares_i, -t.shares_j, t.exit_price_i, t.exit_price_j);
+      }
+    }
+    ASSERT_GT(expected.size(), 10u);
+
+    std::vector<std::vector<std::uint8_t>> input;
+    for (const auto& f : frames) input.push_back(f.pack());
+    const auto captured =
+        drive(make_strategy_stage(params, *pairs, /*strategy_id=*/1, 780), input);
+    std::map<OrderKey, std::string> got;
+    for (const auto& bytes : captured) {
+      mpi::Unpacker u(bytes);
+      if (static_cast<RecordType>(u.get<std::uint8_t>()) != RecordType::order_batch)
+        continue;
+      for (const auto& o : OrderBatch::unpack(u).orders) {
+        const bool fresh =
+            got.emplace(OrderKey{o.interval, o.symbol_i, o.symbol_j, o.is_entry != 0},
+                        order_text(o.shares_i, o.shares_j, o.price_i, o.price_j))
+                .second;
+        EXPECT_TRUE(fresh) << "a repeated order in interval " << o.interval;
+      }
+    }
+    EXPECT_EQ(got, expected);
+  }
 }
 
 TEST(ClusterStage, EmitsGroupingsAtCadence) {

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <new>
 #include <string>
 #include <vector>
@@ -111,19 +112,23 @@ class Market {
 struct DayStats {
   std::size_t trades = 0;
   std::size_t by_reason[5] = {};
+  std::vector<Trade> all;  // the reference's trades, pair by pair
 };
 
-// Drive one book and one PairStrategy per pair over `smax` intervals; the
-// correlation is invalid for the first `invalid_prefix` intervals and, when
-// `gaps`, at every 97th interval after it.
-DayStats expect_book_matches_reference(const StrategyParams& params, std::int64_t smax,
-                                       std::uint64_t seed, std::int64_t invalid_prefix,
-                                       bool gaps = false) {
-  const auto pairs = stats::all_pairs(kSymbols);
-  PairBook book(params, smax, kSymbols, pairs);
-  std::vector<PairStrategy> ref(pairs.size(), PairStrategy(params, smax));
-  Market market(kSymbols, pairs.size(), seed);
+// Fills interval s's prices (one per symbol) and correlations (one per pair
+// of the list); returns whether the correlations are valid.
+using Feed = std::function<bool(std::int64_t s, std::vector<double>& prices,
+                                std::vector<double>& corr)>;
 
+// Drive one book over `pairs` and one PairStrategy per pair over `smax`
+// intervals of `feed`, comparing state, events and trades at every step.
+DayStats expect_book_matches_reference_on(const StrategyParams& params, std::int64_t smax,
+                                          std::size_t symbols,
+                                          const std::vector<stats::PairIndex>& pairs,
+                                          const Feed& feed) {
+  PairBook book(params, smax, symbols, pairs);
+  std::vector<PairStrategy> ref(pairs.size(), PairStrategy(params, smax));
+  std::vector<double> prices(symbols), corr(pairs.size());
   const auto check_events = [&](std::int64_t s, const std::vector<bool>& was_open,
                                 const std::vector<std::size_t>& trades_before) {
     std::size_t e = 0;
@@ -173,13 +178,12 @@ DayStats expect_book_matches_reference(const StrategyParams& params, std::int64_
     }
   };
   for (std::int64_t s = 0; s < smax; ++s) {
-    market.advance();
-    const bool valid = s >= invalid_prefix && !(gaps && s % 97 == 0);
+    const bool valid = feed(s, prices, corr);
     snapshot_ref();
-    book.step(s, market.prices().data(), market.corr().data(), valid);
+    book.step(s, prices.data(), corr.data(), valid);
     for (std::size_t k = 0; k < pairs.size(); ++k)
-      ref[k].step(s, market.prices()[pairs[k].i], market.prices()[pairs[k].j],
-                  valid ? market.corr()[k] : 0.0, valid);
+      ref[k].step(s, prices[pairs[k].i], prices[pairs[k].j], valid ? corr[k] : 0.0,
+                  valid);
     check_events(s, was_open, trades_before);
     if (::testing::Test::HasFatalFailure()) return {};
   }
@@ -199,7 +203,27 @@ DayStats expect_book_matches_reference(const StrategyParams& params, std::int64_
     ++stats.by_reason[static_cast<int>(expected[q].exit_reason)];
   }
   stats.trades = expected.size();
+  stats.all = std::move(expected);
   return stats;
+}
+
+// The seeded Market over `pairs` of kSymbols; the correlation is invalid for
+// the first `invalid_prefix` intervals and, when `gaps`, at every 97th
+// interval after it.
+DayStats expect_book_matches_reference(const StrategyParams& params, std::int64_t smax,
+                                       std::uint64_t seed, std::int64_t invalid_prefix,
+                                       bool gaps = false,
+                                       const std::vector<stats::PairIndex>& pairs =
+                                           stats::all_pairs(kSymbols)) {
+  Market market(kSymbols, pairs.size(), seed);
+  return expect_book_matches_reference_on(
+      params, smax, kSymbols, pairs,
+      [&](std::int64_t s, std::vector<double>& prices, std::vector<double>& corr) {
+        market.advance();
+        prices = market.prices();
+        corr = market.corr();
+        return s >= invalid_prefix && !(gaps && s % 97 == 0);
+      });
 }
 
 std::size_t count(const DayStats& d, ExitReason reason) {
@@ -250,6 +274,126 @@ TEST(PairBook, MatchesReferenceAcrossRunningSumRebuilds) {
   p.spread_window = 25;
   const auto d = expect_book_matches_reference(p, 5000, 5, 100, /*gaps=*/true);
   EXPECT_GT(d.trades, 1000u);
+}
+
+// Pair lists whose runs are not whole rows of all_pairs: the book's run
+// structure must not change a single decision.
+std::vector<std::vector<stats::PairIndex>> run_breaking_lists() {
+  std::vector<stats::PairIndex> shuffled = stats::all_pairs(kSymbols);
+  Rng rng(23);
+  for (std::size_t k = shuffled.size(); k > 1; --k)
+    std::swap(shuffled[k - 1], shuffled[rng.uniform_int(k)]);
+  shuffled.resize(40);
+  return {
+      shuffled,
+      // Single-pair runs: no two list neighbours share i with consecutive j.
+      {{0, 2}, {0, 4}, {1, 3}, {5, 11}, {2, 9}, {2, 7}, {6, 8}, {3, 10}, {9, 11}},
+      // Row 0 ends mid-row at j = 5, then rows 1 and 2 whole.
+      {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}, {1, 2}, {1, 3}, {1, 4}, {1, 5},
+       {1, 6}, {1, 7}, {1, 8}, {1, 9}, {1, 10}, {1, 11}, {2, 3}, {2, 4}, {2, 5},
+       {2, 6}, {2, 7}, {2, 8}, {2, 9}, {2, 10}, {2, 11}},
+      // Rows with gaps: row 3 skips j = 6..8, row 7 skips j = 9, row 8 skips all
+      // but j = 11.
+      {{3, 4}, {3, 5}, {3, 9}, {3, 10}, {3, 11}, {7, 8}, {7, 10}, {7, 11}, {8, 11}},
+  };
+}
+
+TEST(PairBook, MatchesReferenceOnPairListsThatBreakRuns) {
+  StrategyParams p = small_params();
+  p.no_entry_before_close = 3;
+  std::size_t trades = 0;
+  for (const auto& pairs : run_breaking_lists()) {
+    SCOPED_TRACE(pairs.size());
+    const auto d = expect_book_matches_reference(p, 780, 8, 40, /*gaps=*/true, pairs);
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_GT(count(d, ExitReason::retracement), 0u);
+    trades += d.trades;
+  }
+  EXPECT_GT(trades, 100u);
+}
+
+TEST(PairBook, MatchesReferenceWithEveryOpenPairChecked) {
+  // Stop-loss and correlation reversion each send every open pair to the
+  // sparse pass, alone and together, on whole rows and on broken runs.
+  const auto lists = run_breaking_lists();
+  for (const int mode : {1, 2, 3}) {
+    StrategyParams p = small_params();
+    p.stop_loss = (mode & 1) != 0 ? 0.002 : 0.0;
+    p.correlation_reversion_exit = (mode & 2) != 0;
+    p.max_holding = 40;
+    for (const auto& pairs : {stats::all_pairs(kSymbols), lists[0], lists[3]}) {
+      SCOPED_TRACE(format("mode %d, %zu pairs", mode, pairs.size()));
+      const auto d = expect_book_matches_reference(p, 780, 9, 40, /*gaps=*/true, pairs);
+      if (::testing::Test::HasFatalFailure()) return;
+      EXPECT_GT(d.trades, 0u);
+      if (pairs.size() < 66) continue;
+      if ((mode & 1) != 0) {
+        EXPECT_GT(count(d, ExitReason::stop_loss), 0u);
+      }
+      if ((mode & 2) != 0) {
+        EXPECT_GT(count(d, ExitReason::correlation_reversion), 0u);
+      }
+    }
+  }
+}
+
+// One pair (0, 1) whose spread P0 − 100 runs through small exact values, so
+// the retracement level and the spread can be equal bit for bit. The RT = 4
+// window before the entry at s = 10 alternates −4, +4; the entry spread is
+// `entry`, then the spread follows `after` (one value per interval).
+DayStats scripted_day(const StrategyParams& params, double entry,
+                      const std::vector<double>& after) {
+  constexpr std::int64_t kEntry = 10;
+  const std::int64_t smax = kEntry + 1 + static_cast<std::int64_t>(after.size());
+  return expect_book_matches_reference_on(
+      params, smax, 2, {{0, 1}},
+      [&](std::int64_t s, std::vector<double>& prices, std::vector<double>& corr) {
+        double spread = s % 2 == 0 ? 4.0 : -4.0;
+        if (s == kEntry) spread = entry;
+        if (s > kEntry) spread = after[static_cast<std::size_t>(s - kEntry - 1)];
+        prices = {100.0 + spread, 100.0};
+        // A steady correlation with one fresh dip at the entry.
+        corr = {s == kEntry ? 0.5 : 0.9};
+        return true;
+      });
+}
+
+StrategyParams scripted_params() {
+  StrategyParams p = ParamGrid::base();
+  p.avg_window = 4;
+  p.spread_window = 4;
+  p.divergence_window = 3;
+  p.divergence = 0.01;
+  p.retracement = 0.25;
+  p.max_holding = 50;
+  p.no_entry_before_close = 0;
+  return p;
+}
+
+TEST(PairBook, MatchesReferenceWhenSpreadEqualsRetraceLevel) {
+  // Window {+4, −4, +4, −4}: low −4, high +4, range 8, mean 0.
+  const auto p = scripted_params();
+  // Entry at −4 ≤ mean: exit once the spread rises to −4 + 0.25·8 = −2.
+  const auto below = scripted_day(p, -4.0, {-3.0, -2.0, -1.0});
+  ASSERT_EQ(below.all.size(), 1u);
+  EXPECT_EQ(below.all[0].exit_reason, ExitReason::retracement);
+  EXPECT_EQ(below.all[0].exit_interval, 12);
+  // Entry at +4 > mean: exit once the spread falls to 4 − 0.25·8 = +2.
+  const auto above = scripted_day(p, 4.0, {3.0, 2.0, 1.0});
+  ASSERT_EQ(above.all.size(), 1u);
+  EXPECT_EQ(above.all[0].exit_reason, ExitReason::retracement);
+  EXPECT_EQ(above.all[0].exit_interval, 12);
+}
+
+TEST(PairBook, MatchesReferenceAtTheHoldingPeriodBoundary) {
+  StrategyParams p = scripted_params();
+  p.max_holding = 3;
+  // The spread stays short of the −2 level, so only HP closes the position:
+  // held at s − entry = 2, closed at s − entry = 3 = HP.
+  const auto d = scripted_day(p, -4.0, {-3.0, -3.5, -3.0, -2.5, -3.0});
+  ASSERT_EQ(d.all.size(), 1u);
+  EXPECT_EQ(d.all[0].exit_reason, ExitReason::max_holding);
+  EXPECT_EQ(d.all[0].exit_interval - d.all[0].entry_interval, p.max_holding);
 }
 
 TEST(PairBook, ClearTradesKeepsEveryEventAndTrade) {

@@ -53,10 +53,6 @@ class TickDb {
   // Days present in the store, sorted ascending.
   std::vector<Date> days() const;
 
-  // True if the day has a time index (written alongside quotes.bin; lets
-  // read_range seek instead of scanning from the start of the day).
-  bool has_index(const Date& date) const;
-
   bool has_day(const Date& date) const;
 
   const std::string& root() const { return root_; }

@@ -1,7 +1,10 @@
 // DayCache: once-flag loading, LRU byte budget, tickdb-backed factory.
 #include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <future>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -107,7 +110,34 @@ TEST(DayCache, FailedLoadIsNotCachedAndHandsOffToWaiters) {
   auto second = cache.get("k");
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(loads.load(), 2);
-  EXPECT_EQ(cache.stats().load_errors, 1u);
+  EXPECT_EQ(cache.stats().abandons, 1u);
+}
+
+TEST(DayCache, ThrowingLoaderAbandonsItsKey) {
+  std::atomic<int> loads{0};
+  auto cache = std::make_unique<DayCache>(
+      [&](const std::string&) -> Expected<std::vector<Quote>> {
+        if (loads.fetch_add(1) == 0) throw std::runtime_error("loader crashed");
+        return make_day(4, 100.0);
+      });
+
+  // The exception reaches the loading caller and leaves nothing resident.
+  EXPECT_THROW((void)cache->get("k"), std::runtime_error);
+  EXPECT_EQ(cache->entries(), 0u);
+
+  // The retry runs on its own thread under a deadline: a key left in flight
+  // would block it forever, which must fail this test rather than hang it.
+  std::packaged_task<bool()> retry([&cache] { return cache->get("k").has_value(); });
+  auto retried = retry.get_future();
+  std::thread(std::move(retry)).detach();
+  if (retried.wait_for(std::chrono::seconds(5)) != std::future_status::ready) {
+    (void)cache.release();  // the blocked thread still uses it: leak, never free
+    FAIL() << "a second get() is still blocked: the throwing load wedged its key";
+  }
+  EXPECT_TRUE(retried.get());
+  EXPECT_EQ(loads.load(), 2);
+  EXPECT_EQ(cache->stats().abandons, 1u);
+  EXPECT_EQ(cache->entries(), 1u);
 }
 
 TEST(DayCache, EvictionRespectsByteBudgetInLruOrder) {

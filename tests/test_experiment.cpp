@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 
 #include "common/strings.hpp"
@@ -12,7 +13,9 @@
 #include "core/experiment.hpp"
 #include "core/metrics.hpp"
 #include "core/report.hpp"
+#include "engine/pipeline.hpp"
 #include "marketdata/bars.hpp"
+#include "stats/sym_matrix.hpp"
 
 namespace mm::core {
 namespace {
@@ -204,6 +207,61 @@ TEST(Experiment, SweepCellMatchesDirectBacktest) {
       EXPECT_EQ(result.level_max_daily_drawdown[c][level][p], max_drawdown(daily));
       EXPECT_EQ(result.level_win_loss[c][level][p], win_loss(returns).ratio());
     }
+  }
+  EXPECT_GT(trades, 0u);
+}
+
+TEST(Experiment, SweepCellMatchesPipeline) {
+  // One (day, level) of the sweep is one Fig. 1 pipeline day: run_pipeline
+  // with the level's three Ctype strategies over the same SyntheticDay must
+  // give every pair the sweep's return and win-loss ratio bit for bit.
+  auto cfg = experiment_golden_config();
+  cfg.days = 1;
+  cfg.first_day_index = 4;
+  const auto result = run_experiment(cfg);
+
+  const std::size_t level = 9;
+  const md::Universe universe = md::make_universe(cfg.symbols);
+  const md::SyntheticDay day(universe, cfg.generator, cfg.first_day_index);
+  engine::PipelineConfig pipe;
+  pipe.symbols = cfg.symbols;
+  pipe.cleaner = cfg.cleaner;
+  pipe.maronna = cfg.maronna;
+  for (const auto ctype : stats::all_ctypes) {
+    StrategyParams params = cfg.grid.levels()[level];
+    params.ctype = ctype;
+    pipe.strategies.push_back(params);
+  }
+  const auto streamed = engine::run_pipeline(pipe, universe, day.quotes());
+  ASSERT_FALSE(streamed.degraded);
+  const auto& summaries = streamed.master.strategy_summaries;
+  ASSERT_EQ(summaries.size(), 3u);
+
+  const auto pairs = stats::all_pairs(cfg.symbols);
+  std::size_t trades = 0;
+  for (std::size_t c = 0; c < 3; ++c) {
+    const auto ctype = stats::all_ctypes[c];
+    // A summary's trade returns run pair by pair (trades_by_pair order), and
+    // every trade closes with one exit order: count them to split the list.
+    std::vector<std::size_t> exits(pairs.size(), 0);
+    for (const auto& order : streamed.master.order_log)
+      if (order.strategy_id == summaries[c].strategy_id && order.is_entry == 0)
+        ++exits[stats::pair_slot(cfg.symbols, order.symbol_i, order.symbol_j)];
+    const auto& all = summaries[c].trade_returns;
+    ASSERT_EQ(std::accumulate(exits.begin(), exits.end(), std::size_t{0}), all.size())
+        << stats::to_string(ctype);
+    auto next = all.begin();
+    for (std::size_t p = 0; p < pairs.size(); ++p) {
+      const std::vector<double> returns(next, next + static_cast<std::ptrdiff_t>(exits[p]));
+      next += static_cast<std::ptrdiff_t>(exits[p]);
+      const std::vector<double> daily = {cumulative_return(returns)};
+      EXPECT_EQ(result.level_monthly_return_plus1[c][level][p],
+                cumulative_return(daily) + 1.0)
+          << stats::to_string(ctype) << " pair " << p;
+      EXPECT_EQ(result.level_win_loss[c][level][p], win_loss(returns).ratio())
+          << stats::to_string(ctype) << " pair " << p;
+    }
+    trades += all.size();
   }
   EXPECT_GT(trades, 0u);
 }

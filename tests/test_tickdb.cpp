@@ -122,10 +122,9 @@ TEST_F(TickDbTest, TimeIndexWrittenAndSeekMatchesScan) {
   const SyntheticDay day(universe, cfg, 0);
   const Date date{2008, 3, 6};
   ASSERT_TRUE(db->write_day(date, day.quotes()).has_value());
-  EXPECT_TRUE(db->has_index(date));
 
-  // Indexed range reads must exactly match a manual scan for a spread of
-  // windows, including bucket-unaligned bounds and out-of-session bounds.
+  // Range reads must exactly match a manual scan for a spread of windows,
+  // including minute-unaligned bounds and out-of-session bounds.
   const Session session;
   const TimeMs probes[] = {
       session.open_ms(), session.open_ms() + 1234,
@@ -143,25 +142,6 @@ TEST_F(TickDbTest, TimeIndexWrittenAndSeekMatchesScan) {
         EXPECT_EQ((*indexed)[k].ts_ms, expected[k].ts_ms);
     }
   }
-}
-
-TEST_F(TickDbTest, RangeReadSurvivesMissingIndex) {
-  auto db = TickDb::open(root_);
-  ASSERT_TRUE(db.has_value());
-  const auto universe = make_universe(2);
-  GeneratorConfig cfg;
-  cfg.quote_rate = 0.05;
-  const SyntheticDay day(universe, cfg, 0);
-  const Date date{2008, 3, 7};
-  ASSERT_TRUE(db->write_day(date, day.quotes()).has_value());
-  // Delete the sidecar: reads must fall back to scanning.
-  std::filesystem::remove(root_ + "/" + date.iso() + "/quotes.idx");
-  EXPECT_FALSE(db->has_index(date));
-  const Session session;
-  auto range = db->read_range(date, {}, session.open_ms() + ms_per_hour,
-                              session.open_ms() + 2 * ms_per_hour);
-  ASSERT_TRUE(range.has_value());
-  EXPECT_FALSE(range->empty());
 }
 
 TEST_F(TickDbTest, DaysEnumeratesSorted) {
